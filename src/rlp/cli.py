@@ -50,11 +50,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _csv_floats(text: str) -> list[float]:
-    try:
-        return [float(token) for token in text.split(",")]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated floats: {exc}")
+def _checked(convert, accept, expected: str):
+    """argparse type: convert the text, then require accept(value)."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got '{text}'")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,17 +78,25 @@ def build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         p = sub.add_parser(name, help=helps[name], parents=[], add_help=True)
         p.add_argument("--model", required=True, help="path to the JSON model file")
-        p.add_argument("--pi", type=_csv_floats, default=None, metavar="FLOATS",
+        p.add_argument("--pi", type=_checked(lambda t: [float(v) for v in t.split(",")],
+                                             lambda pi: all(map(math.isfinite, pi)),
+                                             "comma-separated finite floats"),
+                       default=None, metavar="FLOATS",
                        help="fixed strategy (comma-separated); default: solve first")
-        p.add_argument("--paths", type=int, default=None, metavar="N",
+        p.add_argument("--paths", type=_checked(int, lambda n: n >= 1, "an integer >= 1"),
+                       default=None, metavar="N",
                        help="Monte Carlo path count (default from the model)")
-        p.add_argument("--seed", type=int, default=None, metavar="S",
+        p.add_argument("--seed", type=_checked(int, lambda s: 0 <= s < 2 ** 64,
+                                               "an integer in [0, 2**64)"),
+                       default=None, metavar="S",
                        help="simulation seed (default from the model)")
         p.add_argument("--format", choices=("json", "csv"), default="json",
                        help="report format (default json)")
         p.add_argument("--out", default=None, metavar="PATH",
                        help="write the report here instead of stdout")
-        p.add_argument("--tol", type=float, default=1e-6, metavar="X",
+        p.add_argument("--tol", type=_checked(float, lambda x: 0.0 < x < math.inf,
+                                              "a positive finite number"),
+                       default=1e-6, metavar="X",
                        help="verification tolerance (default 1e-6)")
     return parser
 

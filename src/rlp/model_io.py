@@ -45,6 +45,8 @@ class SimulationOptions:
     def __post_init__(self):
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError("seed must lie in [0, 2**64)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,16 +75,20 @@ def _require(condition: bool, message: str):
         raise SchemaError(message)
 
 
+def _is_number(obj) -> bool:
+    """A finite number that fits a float; Python's json also admits NaN and Infinity."""
+    return (isinstance(obj, (int, float)) and not isinstance(obj, bool)
+            and abs(obj) <= sys.float_info.max)
+
+
 def _number(obj, name: str) -> float:
-    _require(isinstance(obj, (int, float)) and not isinstance(obj, bool),
-             f"'{name}' must be a number")
+    _require(_is_number(obj), f"'{name}' must be a finite number")
     return float(obj)
 
 
 def _vector(obj, name: str, length: int | None = None) -> np.ndarray:
-    _require(isinstance(obj, list) and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj),
-        f"'{name}' must be a list of numbers")
+    _require(isinstance(obj, list) and all(_is_number(v) for v in obj),
+             f"'{name}' must be a list of finite numbers")
     vec = np.array(obj, dtype=float)
     if length is not None:
         _require(len(vec) == length, f"'{name}' must have length {length}")
@@ -156,7 +162,7 @@ def _parse_triplet(obj, dimension: int, where: str) -> tuple[LevyTriplet, bool]:
     c_raw = obj.get("c")
     if isinstance(c_raw, (int, float)) and not isinstance(c_raw, bool):
         _require(dimension == 1, f"'{where}.c' must be a matrix for dimension > 1")
-        c = np.array([[float(c_raw)]])
+        c = np.array([[_number(c_raw, f"{where}.c")]])
     else:
         _require(isinstance(c_raw, list) and len(c_raw) == dimension,
                  f"'{where}.c' must be a {dimension}x{dimension} matrix")
@@ -203,7 +209,7 @@ def _parse_theta(obj, dimension: int) -> tuple[UncertaintySet, bool]:
         c_base = np.eye(dimension)
     elif isinstance(c_base_raw, (int, float)) and not isinstance(c_base_raw, bool):
         _require(dimension == 1, "'Theta.box.c_base' must be a matrix for dimension > 1")
-        c_base = np.array([[float(c_base_raw)]])
+        c_base = np.array([[_number(c_base_raw, "Theta.box.c_base")]])
     else:
         c_base = np.array([_vector(row, "Theta.box.c_base", dimension)
                            for row in c_base_raw])
@@ -212,6 +218,9 @@ def _parse_theta(obj, dimension: int) -> tuple[UncertaintySet, bool]:
     locations, rate_intervals = [], []
     for j, atom in enumerate(atoms):
         _require(isinstance(atom, dict), f"'Theta.box.atoms[{j}]' must be an object")
+        for key in atom:
+            _require(key in ("rate", "location"),
+                     f"unknown key '{key}' in 'Theta.box.atoms[{j}]'")
         locations.append(_vector(atom.get("location"),
                                  f"Theta.box.atoms[{j}].location", dimension))
         rate_intervals.append(_parse_interval(atom.get("rate"),
@@ -251,6 +260,9 @@ def _parse_constraints(obj, dimension: int) -> Polyhedron:
         pairs = []
         for i, row in enumerate(rows):
             _require(isinstance(row, dict), f"'C.halfspaces[{i}]' must be an object")
+            for key in row:
+                _require(key in ("normal", "offset"),
+                         f"unknown key '{key}' in 'C.halfspaces[{i}]'")
             normal = _vector(row.get("normal"), f"C.halfspaces[{i}].normal", dimension)
             offset = _number(row.get("offset"), f"C.halfspaces[{i}].offset")
             pairs.append((normal, offset))

@@ -2,9 +2,9 @@
 
 The solver maximizes the worst-case growth rate (a concave function of the
 strategy) over the compact intersection of the user constraints with the
-no-bankruptcy halfspaces. Multidimensional problems run projected
-supergradient ascent over a schedule of tightened halfspaces, then refine the
-winner with a smooth epigraph solve; one-dimensional problems use
+no-bankruptcy halfspaces. Multidimensional problems run one smooth epigraph
+solve (SLSQP) at each of the two most tightened levels of the shrink
+schedule and report its first-order residual; one-dimensional problems use
 golden-section search directly. Saddle candidates on the uncertainty simplex
 come from a stationarity LP at the maximizer, with multiplicative-weights
 descent as the fallback, and every candidate must pass explicit residual
@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy.optimize import linprog, minimize
+from scipy.optimize import OptimizeResult, linprog, minimize
 
 from .errors import (
     AtSingularityError,
     DidNotConvergeError,
-    InfeasibleError,
     NotCompactError,
     SaddleNotCertifiedError,
 )
@@ -33,19 +33,20 @@ from .levy import (
     UncertaintySet,
     UtilitySpec,
     bounding_box,
-    characteristics_bound,
     natural_constraints,
 )
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-# Ascent stops after this many iterations without measurable improvement.
-_ASCENT_PATIENCE = 250
-
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Solver knobs; the defaults match the documented behaviour."""
+    """Solver knobs; the defaults match the documented behaviour.
+
+    ``restarts`` and ``seed`` are validated and kept in the resolved model
+    (and so in its digest) but have no effect: the robust solve is a
+    deterministic SLSQP solve from the origin.
+    """
 
     value_tol: float = 1e-8
     y_tol: float = 1e-8
@@ -108,40 +109,41 @@ class SaddleCertificate:
 
 
 class FeasibleRegion:
-    """A constraint polyhedron with its LP bounding box and projection helpers."""
+    """A constraint polyhedron with projection and sampling helpers.
+
+    The LP bounding box behind ``compact`` and ``interval`` runs on first use.
+    """
 
     def __init__(self, poly: Polyhedron):
         self.poly = poly
         self.d = poly.dimension
-        self.lo, self.hi = bounding_box(poly)
-        self.compact = bool(np.all(np.isfinite(self.lo)) and np.all(np.isfinite(self.hi)))
-        self.diameter = float(np.linalg.norm(self.hi - self.lo)) if self.compact else math.inf
-        counts = np.count_nonzero(poly.normals, axis=1) if poly.m else np.zeros(0)
-        self.is_box = poly.m == 0 or bool(np.all(counts <= 1))
         self._row_norm2 = (poly.normals ** 2).sum(axis=1) if poly.m else np.zeros(0)
+
+    @cached_property
+    def box(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-coordinate bounds from 2 d LPs."""
+        return bounding_box(self.poly)
+
+    @property
+    def compact(self) -> bool:
+        lo, hi = self.box
+        return bool(np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)))
 
     @property
     def interval(self) -> tuple[float, float]:
         if self.d != 1:
             raise ValueError("interval is only defined in one dimension")
-        return float(self.lo[0]), float(self.hi[0])
+        lo, hi = self.box
+        return float(lo[0]), float(hi[0])
 
     def contains(self, y: np.ndarray, tol: float = 1e-9) -> bool:
         return self.poly.contains(y, tol)
 
     def project(self, y: np.ndarray) -> np.ndarray:
-        """Euclidean projection (Dykstra for general halfspaces, exact for boxes)."""
+        """Euclidean projection by Dykstra's algorithm over the halfspaces."""
         y = np.asarray(y, dtype=float)
-        if self.compact:
-            clipped = np.clip(y, self.lo, self.hi)
-        else:
-            clipped = y
-        if self.poly.m == 0 or self.is_box:
-            return clipped
-        if np.all(self.poly.normals @ clipped <= self.poly.offsets + 1e-12):
-            # The box projection already landed inside the polyhedron, where
-            # it coincides with the exact projection.
-            return clipped
+        if self.poly.contains(y, tol=0.0):
+            return y
         x = y.copy()
         corrections = np.zeros((self.poly.m, self.d))
         for _ in range(100):
@@ -174,7 +176,11 @@ class FeasibleRegion:
         return y
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """Random interior point along a ray from the origin."""
+        """Random interior point along a ray from the origin.
+
+        The ray's exit distance comes from the halfspaces alone: a ray that
+        stays inside them forever has no bounded exit, box or not.
+        """
         for _ in range(32):
             direction = rng.standard_normal(self.d)
             norm = np.linalg.norm(direction)
@@ -182,11 +188,6 @@ class FeasibleRegion:
                 continue
             direction /= norm
             t_max = math.inf
-            for i in range(self.d):
-                if direction[i] > 0 and math.isfinite(self.hi[i]):
-                    t_max = min(t_max, self.hi[i] / direction[i])
-                elif direction[i] < 0 and math.isfinite(self.lo[i]):
-                    t_max = min(t_max, self.lo[i] / direction[i])
             if self.poly.m:
                 rays = self.poly.normals @ direction
                 for r, o in zip(rays, self.poly.offsets):
@@ -257,8 +258,11 @@ def problem_value(robust_growth: float, utility: UtilitySpec, x0: float, horizon
 
 
 def _slsqp_max(model: GrowthModel, region: FeasibleRegion, y0: np.ndarray,
-               floor: float) -> np.ndarray:
-    """Smooth epigraph solve of max over y of min over vertices, from y0."""
+               floor: float) -> tuple[np.ndarray, OptimizeResult]:
+    """Smooth epigraph solve of max over y of min over vertices, from y0.
+
+    Returns the solution projected onto the region and the raw SLSQP result.
+    """
     d = region.d
     poly = region.poly
     cache: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
@@ -284,7 +288,7 @@ def _slsqp_max(model: GrowthModel, region: FeasibleRegion, y0: np.ndarray,
                        jac=lambda y: -smoothed(y)[1][0],
                        method="SLSQP", constraints=constraints,
                        options={"maxiter": 300, "ftol": 1e-14})
-        return region.project(res.x)
+        return region.project(res.x), res
 
     def vert_fun(x):
         vals, _ = smoothed(x[:d])
@@ -309,7 +313,7 @@ def _slsqp_max(model: GrowthModel, region: FeasibleRegion, y0: np.ndarray,
     res = minimize(lambda x: -x[d], x0, jac=lambda x: obj_grad,
                    method="SLSQP", constraints=constraints,
                    options={"maxiter": 300, "ftol": 1e-14})
-    return region.project(res.x[:d])
+    return region.project(res.x[:d]), res
 
 
 def _single_max(triplet: LevyTriplet, region: FeasibleRegion, utility: UtilitySpec,
@@ -330,49 +334,20 @@ def _single_max(triplet: LevyTriplet, region: FeasibleRegion, utility: UtilitySp
         starts.append(region.sample(rng))
     best_y, best_v = None, -math.inf
     for start in starts:
-        y = _slsqp_max(model, region, start, floor)
+        y, _ = _slsqp_max(model, region, start, floor)
         value = model.robust_value(y)
         if value > best_v:
             best_y, best_v = y, value
     return best_y, best_v
 
 
-def _ascend(model: GrowthModel, region: FeasibleRegion, y0: np.ndarray,
-            step_scale: float, opts: SolveOptions) -> tuple[np.ndarray, float, int]:
-    """Projected supergradient ascent with diminishing steps from one start."""
-    y = region.project(np.asarray(y0, dtype=float))
-    value, idx = model.robust(y)
-    best_y, best_v = y, value
-    step = step_scale
-    stall = 0
-    iters = 0
-    for k in range(1, opts.max_iters + 1):
-        iters = k
-        try:
-            grad = model.gradient(idx, y)
-        except AtSingularityError:
-            y = 0.5 * y
-            value, idx = model.robust(y)
-            continue
-        if np.linalg.norm(grad) < 1e-14:
-            break
-        cand = region.project(y + (step / math.sqrt(k)) * grad)
-        cand_v, cand_idx = model.robust(cand)
-        if cand_v == -math.inf:
-            step *= 0.5
-            if step < 1e-16:
-                break
-            continue
-        y, value, idx = cand, cand_v, cand_idx
-        if cand_v > best_v:
-            improved = cand_v > best_v + opts.value_tol
-            best_y, best_v = cand, cand_v
-            stall = 0 if improved else stall + 1
-        else:
-            stall += 1
-        if stall >= _ASCENT_PATIENCE:
-            break
-    return best_y, best_v, iters
+def _response_region(theta: UncertaintySet, feasible: Polyhedron,
+                     n_last: int) -> tuple[FeasibleRegion, float]:
+    """Region and smoothing floor for best responses: the final shrink level
+    in several dimensions, the untightened polytope in one."""
+    if feasible.dimension > 1:
+        feasible = feasible.intersect(natural_constraints(theta, n_last))
+    return FeasibleRegion(feasible), -1.0 + 0.5 / n_last
 
 
 def maximize_robust(theta: UncertaintySet, feasible: Polyhedron, utility: UtilitySpec,
@@ -380,14 +355,14 @@ def maximize_robust(theta: UncertaintySet, feasible: Polyhedron, utility: Utilit
     """Maximize the worst-case growth rate over the feasible polytope.
 
     One-dimensional problems are solved by golden-section search on the
-    concave worst-case envelope. Otherwise, for each tightening level n in
-    the shrink schedule, projected supergradient ascent runs from the origin
-    and from random feasible restarts with step scale diameter / max(1, K)
-    diminishing as 1/sqrt(k); steps landing at -inf are rejected with a
-    halved step. The level winner is refined by a smooth epigraph solve.
-    Raises DidNotConvergeError when the value still moves by more than
-    value_tol across the final two levels, and NotCompactError when the
-    feasible set is unbounded.
+    concave worst-case envelope. Otherwise one smooth epigraph solve (SLSQP)
+    runs from the origin at each of the final two shrink levels; earlier
+    levels are subsets of the last one and could only lose to it. The
+    diagnostics record each solved level's value, SLSQP status and iteration
+    count, and the first-order residual of the returned strategy on the
+    untightened polytope. Raises DidNotConvergeError when the value still
+    moves by more than value_tol across the final two levels, and
+    NotCompactError when the feasible set is unbounded.
     """
     opts = opts or SolveOptions()
     model = GrowthModel(theta, utility)
@@ -402,35 +377,22 @@ def maximize_robust(theta: UncertaintySet, feasible: Polyhedron, utility: Utilit
         y = np.array([y_scalar])
         diagnostics["method"] = "golden-section"
     else:
-        kappa = characteristics_bound(theta, utility)
         floor = -1.0 + 0.5 / opts.shrink_schedule[-1]
+        levels: list[dict] = []
         level_values: list[float] = []
         best_y, best_v = None, -math.inf
         previous_signature = None
-        total_iters = 0
-        levels_run = 0
-        for n in opts.shrink_schedule:
+        for n in opts.shrink_schedule[-2:]:
             shrunk = feasible.intersect(natural_constraints(theta, n))
             signature = shrunk.normals.tobytes() + shrunk.offsets.tobytes()
             if signature == previous_signature:
                 level_values.append(level_values[-1])
                 continue
             previous_signature = signature
-            levels_run += 1
-            region_n = FeasibleRegion(shrunk)
-            step_scale = region_n.diameter / max(1.0, kappa)
-            level_y, level_v = np.zeros(region.d), -math.inf
-            for restart in range(opts.restarts):
-                rng = np.random.default_rng([opts.seed, n, restart])
-                start = np.zeros(region.d) if restart == 0 else region_n.sample(rng)
-                y_r, v_r, iters = _ascend(model, region_n, start, step_scale, opts)
-                total_iters += iters
-                if v_r > level_v:
-                    level_y, level_v = y_r, v_r
-            refined = _slsqp_max(model, region_n, level_y, floor)
-            refined_v = model.robust_value(refined)
-            if refined_v > level_v:
-                level_y, level_v = refined, refined_v
+            level_y, res = _slsqp_max(model, FeasibleRegion(shrunk), np.zeros(region.d), floor)
+            level_v = model.robust_value(level_y)
+            levels.append({"n": n, "value": float(level_v), "status": int(res.status),
+                           "nit": int(res.nit)})
             level_values.append(level_v)
             if level_v > best_v:
                 best_y, best_v = level_y, level_v
@@ -440,12 +402,14 @@ def maximize_robust(theta: UncertaintySet, feasible: Polyhedron, utility: Utilit
                 raise DidNotConvergeError(
                     f"value still moved by {drift:.3e} across the final shrink levels")
         y, value = best_y, best_v
-        diagnostics.update({"method": "projected-ascent", "iterations": total_iters,
-                            "levels_run": levels_run})
+        diagnostics.update({"method": "slsqp-epigraph", "levels_run": len(levels),
+                            "levels": levels})
     if value <= 0.0:
         # The zero strategy is always feasible here and earns exactly 0.
         y = np.zeros(region.d)
         value = model.robust_value(y)
+    if region.d > 1:
+        diagnostics["kkt_residual"] = optimality_residual(theta, feasible, utility, y)
     _, worst_idx = model.robust(y)
     weights = np.zeros(model.k)
     weights[worst_idx] = 1.0
@@ -530,18 +494,12 @@ def find_saddle(theta: UncertaintySet, feasible: Polyhedron, utility: UtilitySpe
     opts = opts or SolveOptions()
     solution = maximize_robust(theta, feasible, utility, opts)
     model = GrowthModel(theta, utility)
-    region = FeasibleRegion(feasible)
     y = solution.y_hat
     gvals = model.vertex_values(y)
     gmin = float(np.min(gvals))
     k = model.k
     tol_cert = 10.0 * opts.value_tol if certify_tol is None else float(certify_tol)
-    n_last = opts.shrink_schedule[-1]
-    floor = -1.0 + 0.5 / n_last
-    if region.d == 1:
-        inner_region = region
-    else:
-        inner_region = FeasibleRegion(feasible.intersect(natural_constraints(theta, n_last)))
+    inner_region, floor = _response_region(theta, feasible, opts.shrink_schedule[-1])
 
     def build(weights: np.ndarray) -> SaddleCertificate:
         w = np.clip(np.asarray(weights, dtype=float), 0.0, None)
@@ -619,14 +577,8 @@ def verify_saddle(theta: UncertaintySet, feasible: Polyhedron, utility: UtilityS
     the candidate value.
     """
     model = GrowthModel(theta, utility)
-    region = FeasibleRegion(feasible)
-    defaults = SolveOptions(seed=170203)
-    n_last = defaults.shrink_schedule[-1]
-    floor = -1.0 + 0.5 / n_last
-    if region.d == 1:
-        inner_region = region
-    else:
-        inner_region = FeasibleRegion(feasible.intersect(natural_constraints(theta, n_last)))
+    defaults = SolveOptions()
+    inner_region, floor = _response_region(theta, feasible, defaults.shrink_schedule[-1])
     mixed = theta.mix(candidate.theta_hat_weights)
     _, sup_mixture = _single_max(mixed, inner_region, utility, y0=candidate.y_hat,
                                  floor=floor, extra_starts=3, seed=99991)
@@ -669,14 +621,7 @@ def mixture_grid_min(theta: UncertaintySet, feasible: Polyhedron, utility: Utili
     mixture.
     """
     k = len(theta.vertices)
-    region = FeasibleRegion(feasible)
-    defaults = SolveOptions()
-    n_last = defaults.shrink_schedule[-1]
-    floor = -1.0 + 0.5 / n_last
-    if region.d == 1:
-        inner_region = region
-    else:
-        inner_region = FeasibleRegion(feasible.intersect(natural_constraints(theta, n_last)))
+    inner_region, floor = _response_region(theta, feasible, SolveOptions().shrink_schedule[-1])
 
     warm: list[np.ndarray | None] = [None]
 

@@ -137,13 +137,71 @@ def test_wrong_pi_length_exits_1(capsys):
 
 
 def test_usage_errors_exit_1(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["solve"])
-    assert excinfo.value.code == 1
-    capsys.readouterr()
-    with pytest.raises(SystemExit) as excinfo:
-        main(["frobnicate", "--model", BOX])
-    assert excinfo.value.code == 1
+    for argv in (
+        ["solve"],
+        ["frobnicate", "--model", BOX],
+        ["simulate", "--model", BOX, "--seed", "-5"],
+        ["simulate", "--model", BOX, "--seed", str(2 ** 64)],
+        ["simulate", "--model", BOX, "--paths", "0"],
+        ["simulate", "--model", BOX, "--pi", "nan"],
+        ["verify", "--model", BOX, "--tol", "-1"],
+        ["verify", "--model", BOX, "--tol", "inf"],
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert "Traceback" not in captured.err, argv
+
+
+def write_model(tmp_path, text):
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    return str(path)
+
+
+def test_non_finite_model_numbers_exit_1_without_nan(capsys, tmp_path):
+    text = Path(BOX).read_text().replace('"T": 1.0', '"T": NaN')
+    assert "NaN" in text
+    status, out = run(capsys, ["solve", "--model", write_model(tmp_path, text)])
+    assert status == 1
+    assert "NaN" not in out
+    report = json.loads(out)
+    assert report["results"]["error"]["code"] == "SchemaError"
+
+
+def test_negative_simulation_seed_exits_1(capsys, tmp_path):
+    model = json.loads(Path(BOX).read_text())
+    model["simulation"]["seed"] = -1
+    status, report = run_json(
+        capsys, ["simulate", "--model", write_model(tmp_path, json.dumps(model)), "--pi", "0"])
+    assert status == 1
+    assert report["results"]["error"]["code"] == "ModelError"
+
+
+def test_solver_seed_has_no_effect_in_two_dimensions(capsys, tmp_path):
+    model = {
+        "dimension": 2,
+        "utility": {"kind": "log"},
+        "T": 1.0,
+        "x0": 1.0,
+        "Theta": {"vertices": [
+            {"b": [0.06, 0.04], "c": [[0.04, 0.01], [0.01, 0.05]],
+             "jumps": {"atoms": [{"rate": 0.1, "location": [-0.5, 0.2]}]}},
+            {"b": [0.03, 0.05], "c": [[0.05, 0.0], [0.0, 0.04]]},
+        ]},
+        "C": {"box": [[-1.0, 1.0], [-1.0, 1.0]]},
+    }
+    path = write_model(tmp_path, json.dumps(model))
+    status, default = run_json(capsys, ["solve", "--model", path])
+    assert status == 0
+    model["solver"] = {"seed": -3}
+    path = write_model(tmp_path, json.dumps(model))
+    status, seeded = run_json(capsys, ["solve", "--model", path])
+    assert status == 0
+    assert seeded["results"] == default["results"]
+    assert seeded["results"]["diagnostics"]["method"] == "slsqp-epigraph"
 
 
 def test_uncertified_saddle_exits_2(capsys, tmp_path):

@@ -86,6 +86,39 @@ def test_unknown_top_level_key(tmp_path):
         load_model(write_model(tmp_path, minimal_model(extra=1)))
 
 
+def test_unknown_key_in_a_box_atom(tmp_path):
+    model = minimal_model(Theta={"box": {
+        "b": [[0.0, 0.1]],
+        "atoms": [{"location": [0.5], "rate": [0.1, 0.2], "size": 1.0}],
+    }})
+    with pytest.raises(SchemaError, match=r"unknown key 'size' in 'Theta.box.atoms\[0\]'"):
+        load_model(write_model(tmp_path, model))
+
+
+def test_unknown_key_in_a_halfspace(tmp_path):
+    model = minimal_model(C={"box": [[0.0, 2.0]], "halfspaces": [
+        {"normal": [1.0], "offset": 1.0, "strict": True}]})
+    with pytest.raises(SchemaError, match=r"unknown key 'strict' in 'C.halfspaces\[0\]'"):
+        load_model(write_model(tmp_path, model))
+
+
+@pytest.mark.parametrize("path, value", [
+    (("T",), math.nan),
+    (("x0",), math.inf),
+    (("Theta", "vertices", 0, "b", 0), -math.inf),
+    (("Theta", "vertices", 0, "c"), math.nan),
+    (("C", "box", 0, 1), math.inf),
+])
+def test_non_finite_numbers_are_rejected(tmp_path, path, value):
+    model = minimal_model()
+    target = model
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(SchemaError, match="finite"):
+        load_model(write_model(tmp_path, model))
+
+
 def test_missing_required_key(tmp_path):
     model = minimal_model()
     del model["Theta"]

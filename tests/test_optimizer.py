@@ -101,17 +101,24 @@ def test_solve_options_validation():
 
 def test_feasible_region_projection_is_optimal():
     rng = np.random.default_rng(0)
-    poly = Polyhedron.box([(-1.0, 1.0), (-0.5, 2.0)]).intersect(
-        Polyhedron(np.array([[1.0, 1.0]]), np.array([1.5])))
-    region = FeasibleRegion(poly)
-    for _ in range(50):
-        y = rng.uniform(-3.0, 3.0, 2)
-        proj = region.project(y)
-        assert region.contains(proj, tol=1e-8)
-        # no sampled feasible point may be closer
-        for _ in range(20):
-            other = region.sample(rng)
-            assert np.linalg.norm(y - proj) <= np.linalg.norm(y - other) + 1e-7
+    box_2d = Polyhedron.box([(-1.0, 1.0), (-0.5, 2.0)])
+    box_3d = Polyhedron.box([(0.0, 0.3), (-2.0, 0.0), (-0.25, 0.75)])
+    cut_box = box_2d.intersect(Polyhedron(np.array([[1.0, 1.0]]), np.array([1.5])))
+    for poly, is_box in ((cut_box, False), (box_2d, True), (box_3d, True)):
+        region = FeasibleRegion(poly)
+        lo, hi = region.box
+        for _ in range(50):
+            y = rng.uniform(-3.0, 3.0, region.d)
+            proj = region.project(y)
+            assert region.contains(proj, tol=1e-8)
+            if is_box:
+                # Dykstra over axis-aligned halfspaces is a clip, up to the
+                # relative 1e-12 inward margin of the final feasibility pull
+                assert proj == pytest.approx(np.clip(y, lo, hi), rel=2e-12, abs=1e-12)
+            # no sampled feasible point may be closer
+            for _ in range(20):
+                other = region.sample(rng)
+                assert np.linalg.norm(y - proj) <= np.linalg.norm(y - other) + 1e-7
 
 
 def test_feasible_region_sampling_stays_inside():
@@ -192,6 +199,25 @@ def test_solution_is_deterministic():
     second = maximize_robust(theta, feasible, u)
     assert first.y_hat.tobytes() == second.y_hat.tobytes()
     assert first.robust_g == second.robust_g
+
+
+def test_multidimensional_solutions_report_their_certificate():
+    opts = SolveOptions()
+    solved = 0
+    for seed in range(1000, 1020):
+        theta, feasible, u = random_instance(seed)
+        if theta.dimension != 2:
+            continue
+        diagnostics = maximize_robust(theta, feasible, u, opts).diagnostics
+        assert diagnostics["method"] == "slsqp-epigraph"
+        assert diagnostics["kkt_residual"] <= opts.value_tol
+        levels = diagnostics["levels"]
+        assert len(levels) == diagnostics["levels_run"] >= 1
+        for level in levels:
+            assert level["n"] in opts.shrink_schedule[-2:]
+            assert isinstance(level["status"], int) and level["nit"] >= 1
+        solved += 1
+    assert solved >= 5
 
 
 def test_saddle_on_the_corner_box():
