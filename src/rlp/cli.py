@@ -175,10 +175,8 @@ def _cmd_saddle(spec: ProblemSpec, flags: argparse.Namespace) -> tuple[dict, int
         certificate = find_saddle(spec.theta, spec.feasible, spec.utility, spec.solver,
                                   certify_tol=flags.tol)
     except SaddleNotCertifiedError as exc:
-        results = {"certified": False, "reason": str(exc)}
-        if exc.certificate is not None:
-            results = _certificate_results(exc.certificate, certified=False)
-            results["reason"] = str(exc)
+        results = _certificate_results(exc.certificate, certified=False)
+        results["reason"] = str(exc)
         return results, 2, ["saddle_uncertified"]
     return _certificate_results(certificate, certified=True), 0, []
 
@@ -217,9 +215,6 @@ def _cmd_verify(spec: ProblemSpec, flags: argparse.Namespace) -> tuple[dict, int
                                   certify_tol=flags.tol)
         certified = True
     except SaddleNotCertifiedError as exc:
-        if exc.certificate is None:
-            return {"certified": False, "reason": str(exc), "passed": False}, 2, \
-                ["saddle_uncertified"]
         certificate = exc.certificate
         certified = False
         provenance.append("saddle_uncertified")

@@ -62,9 +62,9 @@ class DidNotConvergeError(RlpError):
 
 
 class SaddleNotCertifiedError(RlpError):
-    """No candidate saddle point passed the residual checks within the iteration budget.
+    """The stationarity mixture did not pass the saddle residual checks.
 
-    The best (uncertified) certificate found is attached as ``certificate``.
+    That uncertified candidate is attached as ``certificate``.
     """
 
     code = "SaddleNotCertified"
@@ -96,6 +96,12 @@ class ModelError(RlpError):
     """The model file is well-formed but describes an invalid problem."""
 
     code = "ModelError"
+
+
+class NanResultError(RlpError):
+    """A report holds NaN, which JSON cannot carry."""
+
+    code = "NanResult"
 
 
 class FileIoError(RlpError):

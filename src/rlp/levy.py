@@ -10,6 +10,7 @@ import itertools
 import math
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linprog
@@ -318,7 +319,11 @@ def characteristics_bound(theta: UncertaintySet, utility: UtilitySpec) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Polyhedron:
-    """Intersection of halfspaces {y : normal . y <= offset}, one row each."""
+    """Intersection of halfspaces {y : normal . y <= offset}, one row each.
+
+    ``bounds`` and ``compact`` run the 2 d bounding-box LPs on first use and
+    keep the result, so a polyhedron is proved compact at most once.
+    """
 
     normals: np.ndarray
     offsets: np.ndarray
@@ -393,6 +398,17 @@ class Polyhedron:
                 keep.append(j)
         return Polyhedron(normals[keep], offsets[keep])
 
+    @cached_property
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-coordinate bounds from :func:`bounding_box`; +-inf marks open sides."""
+        lo, hi = bounding_box(self)
+        return _readonly(lo), _readonly(hi)
+
+    @property
+    def compact(self) -> bool:
+        lo, hi = self.bounds
+        return bool(np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)))
+
     def contains(self, y: np.ndarray, tol: float = 1e-9) -> bool:
         y = np.asarray(y, dtype=float)
         if self.m == 0:
@@ -450,19 +466,17 @@ def bounding_box(poly: Polyhedron) -> tuple[np.ndarray, np.ndarray]:
 def effective_domain(constraints: Polyhedron, theta: UncertaintySet) -> tuple[Polyhedron, bool]:
     """Intersect the strategy constraints with the no-bankruptcy halfspaces.
 
-    Returns the merged polyhedron and a compactness flag obtained from 2d
-    boundedness LPs. Raises OriginExcludedError when the zero strategy is not
-    allowed (some constraint offset is negative) and InfeasibleError when the
-    intersection is empty.
+    Returns the merged polyhedron and its ``compact`` flag, whose 2 d
+    boundedness LPs stay cached on that polyhedron. Raises OriginExcludedError
+    when the zero strategy is not allowed (some constraint offset is negative)
+    and InfeasibleError when the intersection is empty.
     """
     if constraints.dimension != theta.dimension:
         raise ValueError("constraint dimension does not match the uncertainty set")
     if constraints.m and np.any(constraints.offsets < 0.0):
         raise OriginExcludedError("the zero strategy must satisfy every constraint")
     merged = constraints.intersect(natural_constraints(theta))
-    lo, hi = bounding_box(merged)
-    compact = bool(np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)))
-    return merged, compact
+    return merged, merged.compact
 
 
 @dataclass(frozen=True, eq=False)

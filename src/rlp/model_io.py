@@ -12,12 +12,13 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FileIoError, ModelError, ParseError, SchemaError
+from .errors import FileIoError, ModelError, NanResultError, ParseError, SchemaError
 from .levy import (
     JumpMeasure,
     LevyTriplet,
@@ -35,6 +36,10 @@ from .levy import (
 from .optimizer import SolveOptions
 
 _TOP_KEYS = {"dimension", "utility", "T", "x0", "C", "Theta", "solver", "simulation"}
+
+# Solver keys of earlier releases, with their defaults: still validated and
+# kept in the resolved model (so digests do not change), but they set nothing.
+_INERT_SOLVER_KEYS = {"max_iters": 10000, "restarts": 8, "seed": 0}
 
 
 @dataclass(frozen=True)
@@ -271,32 +276,42 @@ def _parse_constraints(obj, dimension: int) -> Polyhedron:
     return poly
 
 
-def _parse_solver(obj) -> SolveOptions:
-    if obj is None:
-        return SolveOptions()
+def _parse_solver(obj) -> tuple[SolveOptions, dict]:
+    """The solver options and their resolved form.
+
+    The resolved form also keeps the inert keys (validated, part of the
+    digest, without effect on any solve).
+    """
+    obj = {} if obj is None else obj
     _require(isinstance(obj, dict), "'solver' must be an object")
-    known = {"value_tol", "y_tol", "max_iters", "restarts", "shrink_schedule", "seed"}
     for key in obj:
-        _require(key in known, f"unknown key '{key}' in 'solver'")
+        _require(key in ("value_tol", "y_tol", "shrink_schedule", *_INERT_SOLVER_KEYS),
+                 f"unknown key '{key}' in 'solver'")
     kwargs = {}
     for key in ("value_tol", "y_tol"):
         if key in obj:
             kwargs[key] = _number(obj[key], f"solver.{key}")
-    for key in ("max_iters", "restarts", "seed"):
+    inert = dict(_INERT_SOLVER_KEYS)
+    for key in inert:
         if key in obj:
             _require(isinstance(obj[key], int) and not isinstance(obj[key], bool),
                      f"'solver.{key}' must be an integer")
-            kwargs[key] = obj[key]
+            inert[key] = obj[key]
     if "shrink_schedule" in obj:
         schedule = obj["shrink_schedule"]
         _require(isinstance(schedule, list) and all(
             isinstance(n, int) and not isinstance(n, bool) for n in schedule),
             "'solver.shrink_schedule' must be a list of integers")
         kwargs["shrink_schedule"] = tuple(schedule)
+    if inert["max_iters"] < 1 or inert["restarts"] < 1:
+        raise ModelError("invalid solver options: max_iters and restarts must be at least 1")
     try:
-        return SolveOptions(**kwargs)
+        options = SolveOptions(**kwargs)
     except ValueError as exc:
         raise ModelError(f"invalid solver options: {exc}") from exc
+    resolved = {"value_tol": options.value_tol, "y_tol": options.y_tol,
+                "shrink_schedule": list(options.shrink_schedule), **inert}
+    return options, resolved
 
 
 def _parse_simulation(obj) -> SimulationOptions:
@@ -319,7 +334,7 @@ def _parse_simulation(obj) -> SimulationOptions:
 
 def _resolved_dict(dimension: int, utility: UtilitySpec, horizon: float, x0: float,
                    constraints: Polyhedron, theta: UncertaintySet,
-                   solver: SolveOptions, simulation: SimulationOptions) -> dict:
+                   solver: dict, simulation: SimulationOptions) -> dict:
     return {
         "dimension": dimension,
         "utility": {"kind": utility.kind, "p": utility.p, "epsilon": utility.epsilon},
@@ -332,10 +347,7 @@ def _resolved_dict(dimension: int, utility: UtilitySpec, horizon: float, x0: flo
              "jumps": {"atoms": [{"rate": float(r), "location": list(z)}
                                  for r, z in zip(v.jumps.rates, v.jumps.locations)]}}
             for v in theta.vertices]},
-        "solver": {"value_tol": solver.value_tol, "y_tol": solver.y_tol,
-                   "max_iters": solver.max_iters, "restarts": solver.restarts,
-                   "shrink_schedule": list(solver.shrink_schedule),
-                   "seed": solver.seed},
+        "solver": solver,
         "simulation": {"n_paths": simulation.n_paths, "seed": simulation.seed},
     }
 
@@ -375,7 +387,7 @@ def load_model(path: str) -> ProblemSpec:
         raise ModelError("the initial capital x0 must be positive")
     theta, discretized = _parse_theta(raw["Theta"], dimension)
     constraints = _parse_constraints(raw.get("C"), dimension)
-    solver = _parse_solver(raw.get("solver"))
+    solver, resolved_solver = _parse_solver(raw.get("solver"))
     simulation = _parse_simulation(raw.get("simulation"))
     violations = []
     for i, vertex in enumerate(theta.vertices):
@@ -395,7 +407,7 @@ def load_model(path: str) -> ProblemSpec:
     if discretized:
         provenance.append("density_discretized")
     resolved = _resolved_dict(dimension, utility, horizon, x0, constraints, theta,
-                              solver, simulation)
+                              resolved_solver, simulation)
     digest = hashlib.sha256(canonical_json(resolved).encode("utf-8")).hexdigest()
     return ProblemSpec(
         dimension=dimension, utility=utility, horizon=horizon, x0=x0,
@@ -445,8 +457,12 @@ class Report:
                    timings=data["timings"])
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2,
-                          separators=(",", ": ")) + "\n"
+        """Canonical JSON; +-inf become the strings "inf" and "-inf", NaN raises."""
+        try:
+            return json.dumps(_infinities_as_strings(self.to_dict()), sort_keys=True,
+                              indent=2, separators=(",", ": "), allow_nan=False) + "\n"
+        except ValueError as exc:
+            raise NanResultError(f"the {self.command} report contains NaN") from exc
 
     def csv_rows(self) -> list[tuple[str, str, str]]:
         rows: list[tuple[str, str, str]] = []
@@ -486,8 +502,21 @@ class Report:
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(["quantity", "value", "stderr"])
         for row in self.csv_rows():
+            if "nan" in row[1:]:
+                raise NanResultError(f"the {self.command} report contains NaN")
             writer.writerow(row)
         return buffer.getvalue()
+
+
+def _infinities_as_strings(value):
+    """Copy with +-inf replaced by "inf"/"-inf", as the CSV prints them."""
+    if isinstance(value, float) and math.isinf(value):
+        return repr(float(value))
+    if isinstance(value, dict):
+        return {key: _infinities_as_strings(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_infinities_as_strings(item) for item in value]
+    return value
 
 
 def emit_report(report: Report, fmt: str = "json", out: str | None = None) -> str:

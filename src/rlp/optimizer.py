@@ -5,17 +5,15 @@ strategy) over the compact intersection of the user constraints with the
 no-bankruptcy halfspaces. Multidimensional problems run one smooth epigraph
 solve (SLSQP) at each of the two most tightened levels of the shrink
 schedule and report its first-order residual; one-dimensional problems use
-golden-section search directly. Saddle candidates on the uncertainty simplex
-come from a stationarity LP at the maximizer, with multiplicative-weights
-descent as the fallback, and every candidate must pass explicit residual
-checks before it is returned.
+golden-section search directly. The saddle's mixture on the uncertainty
+simplex comes from a stationarity LP at the maximizer, and it must pass
+explicit residual checks before it is returned.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from scipy.optimize import OptimizeResult, linprog, minimize
@@ -32,7 +30,6 @@ from .levy import (
     Polyhedron,
     UncertaintySet,
     UtilitySpec,
-    bounding_box,
     natural_constraints,
 )
 
@@ -41,25 +38,15 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Solver knobs; the defaults match the documented behaviour.
-
-    ``restarts`` and ``seed`` are validated and kept in the resolved model
-    (and so in its digest) but have no effect: the robust solve is a
-    deterministic SLSQP solve from the origin.
-    """
+    """Solver knobs; the defaults match the documented behaviour."""
 
     value_tol: float = 1e-8
     y_tol: float = 1e-8
-    max_iters: int = 10000
-    restarts: int = 8
     shrink_schedule: tuple[int, ...] = (4, 16, 64, 256, 1024)
-    seed: int = 0
 
     def __post_init__(self):
         if self.value_tol <= 0 or self.y_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.max_iters < 1 or self.restarts < 1:
-            raise ValueError("max_iters and restarts must be at least 1")
         schedule = tuple(int(n) for n in self.shrink_schedule)
         if not schedule or any(n < 2 for n in schedule):
             raise ValueError("shrink levels must be integers of at least 2")
@@ -109,31 +96,18 @@ class SaddleCertificate:
 
 
 class FeasibleRegion:
-    """A constraint polyhedron with projection and sampling helpers.
-
-    The LP bounding box behind ``compact`` and ``interval`` runs on first use.
-    """
+    """A constraint polyhedron with projection and sampling helpers."""
 
     def __init__(self, poly: Polyhedron):
         self.poly = poly
         self.d = poly.dimension
         self._row_norm2 = (poly.normals ** 2).sum(axis=1) if poly.m else np.zeros(0)
 
-    @cached_property
-    def box(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-coordinate bounds from 2 d LPs."""
-        return bounding_box(self.poly)
-
-    @property
-    def compact(self) -> bool:
-        lo, hi = self.box
-        return bool(np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)))
-
     @property
     def interval(self) -> tuple[float, float]:
         if self.d != 1:
             raise ValueError("interval is only defined in one dimension")
-        lo, hi = self.box
+        lo, hi = self.poly.bounds
         return float(lo[0]), float(hi[0])
 
     def contains(self, y: np.ndarray, tol: float = 1e-9) -> bool:
@@ -367,7 +341,7 @@ def maximize_robust(theta: UncertaintySet, feasible: Polyhedron, utility: Utilit
     opts = opts or SolveOptions()
     model = GrowthModel(theta, utility)
     region = FeasibleRegion(feasible)
-    if not region.compact:
+    if not feasible.compact:
         raise NotCompactError("the feasible set is unbounded; no maximizer exists in general")
     diagnostics: dict = {}
     if region.d == 1:
@@ -484,12 +458,13 @@ def find_saddle(theta: UncertaintySet, feasible: Polyhedron, utility: UtilitySpe
                 certify_tol: float | None = None) -> SaddleCertificate:
     """Solve for the strategy, then extract and certify a worst-case mixture.
 
-    The mixture candidate comes first from the stationarity LP at the
-    maximizer; if that does not certify, multiplicative-weights descent on
-    the simplex (averaged iterates, step proportional to 1/sqrt(t)) provides
-    further candidates. Certification requires all three residuals to stay
-    within certify_tol, which defaults to 10 * value_tol; otherwise
-    SaddleNotCertifiedError carries the best candidate found.
+    The mixture is the one the stationarity LP finds at the maximizer: its
+    gradient lies in the normal cone of the polytope there. Vertices count as
+    active within a quarter of certify_tol, but never closer than the
+    solver's 1e-9 resolution (both relative to the worst value). Certification
+    requires all three residuals to stay within certify_tol, which defaults
+    to 10 * value_tol; otherwise SaddleNotCertifiedError carries the
+    candidate.
     """
     opts = opts or SolveOptions()
     solution = maximize_robust(theta, feasible, utility, opts)
@@ -497,74 +472,22 @@ def find_saddle(theta: UncertaintySet, feasible: Polyhedron, utility: UtilitySpe
     y = solution.y_hat
     gvals = model.vertex_values(y)
     gmin = float(np.min(gvals))
-    k = model.k
     tol_cert = 10.0 * opts.value_tol if certify_tol is None else float(certify_tol)
+    _, weights = _stationarity_weights(model, feasible, y, gvals,
+                                       atol=max(0.25 * tol_cert, 1e-9) * (1.0 + abs(gmin)))
+    support = weights > 0.0
+    value = float(weights[support] @ gvals[support])
     inner_region, floor = _response_region(theta, feasible, opts.shrink_schedule[-1])
-
-    def build(weights: np.ndarray) -> SaddleCertificate:
-        w = np.clip(np.asarray(weights, dtype=float), 0.0, None)
-        w = w / w.sum()
-        finite = np.isfinite(gvals)
-        if np.any(~finite & (w > 0.0)):
-            value = -math.inf
-        else:
-            value = float(w[finite] @ gvals[finite])
-        mixed = theta.mix(w)
-        _, sup = _single_max(mixed, inner_region, utility, y0=y, floor=floor)
-        return SaddleCertificate(
-            y_hat=y, theta_hat_weights=w, value=value,
-            residual_max_y=sup - value,
-            residual_min_theta=value - gmin,
-            gap=sup - solution.robust_g)
-
-    if k == 1:
-        certificate = build(np.ones(1))
-        if certificate.passes(tol_cert):
-            return certificate
-        raise SaddleNotCertifiedError(
-            "residuals exceeded the tolerance", certificate=certificate)
-
-    best: SaddleCertificate | None = None
-
-    def consider(weights: np.ndarray) -> SaddleCertificate | None:
-        nonlocal best
-        certificate = build(weights)
-        if best is None or _badness(certificate) < _badness(best):
-            best = certificate
-        return certificate if certificate.passes(tol_cert) else None
-
-    _, kkt_weights = _stationarity_weights(model, feasible, y, gvals,
-                                           atol=0.25 * tol_cert * (1.0 + abs(gmin)))
-    found = consider(kkt_weights)
-    if found is not None:
-        return found
-
-    weights = np.full(k, 1.0 / k)
-    average = weights.copy()
-    grad_scale = 1e-12
-    eta_base = math.sqrt(math.log(max(k, 2)))
-    for t in range(1, opts.max_iters + 1):
-        mixed = theta.mix(weights)
-        y_t, _ = _single_max(mixed, inner_region, utility, y0=y, floor=floor)
-        grad = np.maximum(model.vertex_values(y_t), -1e6)
-        grad_scale = max(grad_scale, float(np.max(np.abs(grad))))
-        eta = eta_base / (grad_scale * math.sqrt(t))
-        shifted = -eta * (grad - grad.max())
-        weights = weights * np.exp(shifted)
-        weights = weights / weights.sum()
-        average = (average * t + weights) / (t + 1.0)
-        if t % 25 == 0 or t == opts.max_iters:
-            for candidate in (average, weights):
-                found = consider(candidate)
-                if found is not None:
-                    return found
+    _, sup = _single_max(theta.mix(weights), inner_region, utility, y0=y, floor=floor)
+    certificate = SaddleCertificate(
+        y_hat=y, theta_hat_weights=weights, value=value,
+        residual_max_y=sup - value,
+        residual_min_theta=value - gmin,
+        gap=sup - solution.robust_g)
+    if certificate.passes(tol_cert):
+        return certificate
     raise SaddleNotCertifiedError(
-        f"no mixture certified within {opts.max_iters} iterations", certificate=best)
-
-
-def _badness(certificate: SaddleCertificate) -> float:
-    return max(abs(certificate.residual_max_y), abs(certificate.residual_min_theta),
-               abs(certificate.gap))
+        "the stationarity mixture's residuals exceed the tolerance", certificate=certificate)
 
 
 def verify_saddle(theta: UncertaintySet, feasible: Polyhedron, utility: UtilitySpec,

@@ -73,6 +73,23 @@ def test_simulate_zero_strategy_has_no_noise(capsys):
     assert results["within_3p5_sigma"] is True
 
 
+def test_infinite_values_keep_the_report_valid_json(capsys):
+    # a short unit position goes bankrupt at the box model's +1 jump
+    status, out = run(
+        capsys, ["simulate", "--model", BOX, "--pi", "-1", "--paths", "1000"])
+    assert status == 0
+
+    def refuse(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    results = json.loads(out, parse_constant=refuse)["results"]
+    assert results["closed_form"] == "-inf"
+    assert results["mc"]["mean"] == "-inf"
+    assert results["mc"]["stderr"] == "inf"
+    assert results["mc"]["minus_inf"] is True
+    assert results["within_3p5_sigma"] is True
+
+
 def test_simulate_solves_when_no_strategy_is_given(capsys):
     status, report = run_json(
         capsys, ["simulate", "--model", MERTON, "--paths", "2000"])
@@ -217,7 +234,7 @@ def test_uncertified_saddle_exits_2(capsys, tmp_path):
             {"b": [0.06], "c": [[0.03]]},
         ]},
         "C": {"box": [[0.0, 5.0]]},
-        "solver": {"value_tol": 1e-16, "max_iters": 60},
+        "solver": {"value_tol": 1e-16},
     }
     path = tmp_path / "kink.json"
     path.write_text(json.dumps(model))

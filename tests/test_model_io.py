@@ -10,6 +10,7 @@ import pytest
 from rlp import (
     FileIoError,
     ModelError,
+    NanResultError,
     ParseError,
     Report,
     SchemaError,
@@ -168,6 +169,19 @@ def test_unbounded_problems_are_rejected(tmp_path):
         load_model(write_model(tmp_path, model))
 
 
+def test_inert_solver_keys_are_still_validated(tmp_path):
+    for solver in ({"restarts": 0}, {"max_iters": 0}):
+        with pytest.raises(ModelError, match="at least 1"):
+            load_model(write_model(tmp_path, minimal_model(solver=solver)))
+    for solver in ({"seed": 1.5}, {"max_iters": True}):
+        with pytest.raises(SchemaError, match="must be an integer"):
+            load_model(write_model(tmp_path, minimal_model(solver=solver)))
+    spec = load_model(write_model(tmp_path, minimal_model(
+        solver={"max_iters": 60, "restarts": 1, "seed": -3})))
+    assert spec.resolved["solver"]["max_iters"] == 60
+    assert spec.resolved["solver"]["seed"] == -3
+
+
 def test_scalar_domains(tmp_path):
     with pytest.raises(ModelError, match="horizon"):
         load_model(write_model(tmp_path, minimal_model(T=0.0)))
@@ -199,6 +213,18 @@ def test_report_roundtrips_through_json():
                     provenance=["density_discretized"], timings={"total_s": 0.12})
     recovered = Report.from_dict(json.loads(report.to_json()))
     assert recovered.to_dict() == report.to_dict()
+
+
+def test_reports_encode_infinities_and_refuse_nan():
+    report = Report(command="simulate", model="m.json", digest="abc", status=0,
+                    results={"closed_form": -math.inf, "mc": {"stderr": math.inf}})
+    results = json.loads(report.to_json())["results"]
+    assert results == {"closed_form": "-inf", "mc": {"stderr": "inf"}}
+    assert report.results["closed_form"] == -math.inf
+    report.results["closed_form"] = math.nan
+    for fmt in ("json", "csv"):
+        with pytest.raises(NanResultError):
+            emit_report(report, fmt)
 
 
 def test_csv_rows_flatten_vectors_and_estimates():

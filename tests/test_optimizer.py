@@ -95,8 +95,6 @@ def test_solve_options_validation():
         SolveOptions(value_tol=0.0)
     with pytest.raises(ValueError):
         SolveOptions(shrink_schedule=(16, 4))
-    with pytest.raises(ValueError):
-        SolveOptions(restarts=0)
 
 
 def test_feasible_region_projection_is_optimal():
@@ -106,7 +104,7 @@ def test_feasible_region_projection_is_optimal():
     cut_box = box_2d.intersect(Polyhedron(np.array([[1.0, 1.0]]), np.array([1.5])))
     for poly, is_box in ((cut_box, False), (box_2d, True), (box_3d, True)):
         region = FeasibleRegion(poly)
-        lo, hi = region.box
+        lo, hi = poly.bounds
         for _ in range(50):
             y = rng.uniform(-3.0, 3.0, region.d)
             proj = region.project(y)
@@ -175,9 +173,38 @@ def test_origin_wins_when_every_direction_loses():
 
 
 def test_unbounded_region_is_refused():
-    theta = UncertaintySet((one_asset(0.1, 0.04),))
-    with pytest.raises(NotCompactError):
-        maximize_robust(theta, Polyhedron.box([(0.0, None)]), LOG)
+    theta_1d = UncertaintySet((one_asset(0.1, 0.04),))
+    theta_2d = UncertaintySet((LevyTriplet(np.array([0.1, 0.05]), 0.04 * np.eye(2),
+                                           JumpMeasure.empty(2)),))
+    # a strip: bounded in the first coordinate only
+    strip = Polyhedron.box([(0.0, 1.0), (None, None)])
+    for theta, poly in ((theta_1d, Polyhedron.box([(0.0, None)])), (theta_2d, strip)):
+        with pytest.raises(NotCompactError):
+            maximize_robust(theta, poly, LOG)
+
+
+def test_compactness_is_proved_once_per_polytope(monkeypatch):
+    import rlp.levy
+    import rlp.optimizer
+
+    calls = []
+    original = rlp.levy.bounding_box
+
+    def counted(poly):
+        calls.append(poly)
+        return original(poly)
+
+    # also where the optimizer would find a by-name import of it
+    for module in (rlp.levy, rlp.optimizer):
+        monkeypatch.setattr(module, "bounding_box", counted, raising=False)
+    theta, feasible, u = random_instance(1017)  # runs effective_domain
+    assert theta.dimension == 2
+    maximize_robust(theta, feasible, u)
+    cert = find_saddle(theta, feasible, u)
+    ok, details = verify_saddle(theta, feasible, u, cert)
+    assert ok, details
+    assert len(calls) == 1
+    assert calls[0] is feasible
 
 
 def test_boundary_chasing_raises_did_not_converge():
@@ -240,7 +267,7 @@ def test_saddle_with_interior_mixture():
 
 
 def test_saddle_certifies_on_random_instances():
-    for seed in range(6):
+    for seed in range(24):
         theta, feasible, u = random_instance(4000 + seed)
         cert = find_saddle(theta, feasible, u)
         assert cert.passes(1e-7)
@@ -286,10 +313,10 @@ def test_mixture_grid_matches_the_robust_value():
 def test_saddle_not_certified_carries_the_best_candidate():
     # the robust optimum is the kink where the two parabolas cross, so the
     # residuals are floor-limited by the solver's kink location error; an
-    # absurdly small tolerance then rejects every candidate
+    # absurdly small tolerance then rejects the candidate
     theta = UncertaintySet((one_asset(0.02, 0.001), one_asset(0.06, 0.03)))
     feasible, _ = effective_domain(Polyhedron.box([(0.0, 5.0)]), theta)
-    opts = SolveOptions(value_tol=1e-16, max_iters=60)
+    opts = SolveOptions(value_tol=1e-16)
     with pytest.raises(SaddleNotCertifiedError) as info:
         find_saddle(theta, feasible, LOG, opts)
     best = info.value.certificate
