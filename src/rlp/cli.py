@@ -28,6 +28,7 @@ from .optimizer import (
     SaddleCertificate,
     find_saddle,
     maximize_robust,
+    optimality_residual,
     problem_value,
     verify_saddle,
 )
@@ -104,12 +105,16 @@ def build_parser() -> argparse.ArgumentParser:
 def _solution_results(spec: ProblemSpec) -> dict:
     solution = maximize_robust(spec.theta, spec.feasible, spec.utility, spec.solver)
     value = problem_value(solution.robust_g, spec.utility, spec.x0, spec.horizon)
+    diagnostics = dict(solution.diagnostics)
+    if spec.dimension > 1:
+        diagnostics["kkt_residual"] = optimality_residual(
+            spec.theta, spec.feasible, spec.utility, solution.y_hat)
     return {
         "y_hat": [float(v) for v in solution.y_hat],
         "robust_g": float(solution.robust_g),
         "value": float(value),
         "worst_vertex": int(np.argmax(solution.worst_vertex_weights)),
-        "diagnostics": dict(solution.diagnostics),
+        "diagnostics": diagnostics,
     }
 
 

@@ -321,8 +321,9 @@ def characteristics_bound(theta: UncertaintySet, utility: UtilitySpec) -> float:
 class Polyhedron:
     """Intersection of halfspaces {y : normal . y <= offset}, one row each.
 
-    ``bounds`` and ``compact`` run the 2 d bounding-box LPs on first use and
-    keep the result, so a polyhedron is proved compact at most once.
+    ``bounds`` and ``compact`` solve the 2 d bounding-box side problems (one
+    stacked LP, see :func:`bounding_box`) on first use and keep the result,
+    so a polyhedron is proved compact at most once.
     """
 
     normals: np.ndarray
@@ -436,40 +437,45 @@ def natural_constraints(theta: UncertaintySet, n: int | None = None) -> Polyhedr
 def bounding_box(poly: Polyhedron) -> tuple[np.ndarray, np.ndarray]:
     """Per-coordinate LP bounds of the polyhedron; +-inf marks unbounded sides.
 
-    Raises InfeasibleError when the polyhedron is empty.
+    The 2 d side problems (minimise, then maximise, each coordinate) run as
+    one LP over 2 d independent copies of the variables. It separates, so
+    each copy sits at its own side's optimum. When that LP is unbounded, the
+    sides are solved one at a time to tell which ones are open. Raises
+    InfeasibleError when the polyhedron is empty.
     """
     d = poly.dimension
-    lo = np.full(d, -np.inf)
-    hi = np.full(d, np.inf)
+    # side j bounds coordinate j % d from below (j < d) or from above
+    ends = np.concatenate([np.full(d, -np.inf), np.full(d, np.inf)])
     if poly.m == 0:
-        return lo, hi
-    a_ub, b_ub = poly.normals, poly.offsets
-    free = [(None, None)] * d
-    for i in range(d):
-        cost = np.zeros(d)
-        cost[i] = 1.0
-        for sign, target in ((1.0, "lo"), (-1.0, "hi")):
-            res = linprog(sign * cost, A_ub=a_ub, b_ub=b_ub, bounds=free, method="highs")
-            if res.status == 2:
-                raise InfeasibleError("constraint polyhedron is empty")
-            if res.status == 3:
-                continue
-            if res.status != 0:
-                raise RuntimeError(f"boundedness LP failed with status {res.status}")
-            if target == "lo":
-                lo[i] = res.fun
-            else:
-                hi[i] = -res.fun
-    return lo, hi
+        return ends[:d], ends[d:]
+    batches = [np.arange(2 * d)]
+    for sides in batches:
+        n = len(sides)
+        coords = sides % d
+        cost = np.zeros((n, d))
+        cost[np.arange(n), coords] = np.where(sides < d, 1.0, -1.0)
+        res = linprog(cost.ravel(), A_ub=np.kron(np.eye(n), poly.normals),
+                      b_ub=np.tile(poly.offsets, n), bounds=(None, None), method="highs")
+        if res.status == 2:
+            raise InfeasibleError("constraint polyhedron is empty")
+        if res.status == 3:
+            if n > 1:
+                batches.extend(sides[[j]] for j in range(n))
+            continue
+        if res.status != 0:
+            raise RuntimeError(f"boundedness LP failed with status {res.status}")
+        ends[sides] = res.x.reshape(n, d)[np.arange(n), coords]
+    return ends[:d], ends[d:]
 
 
 def effective_domain(constraints: Polyhedron, theta: UncertaintySet) -> tuple[Polyhedron, bool]:
     """Intersect the strategy constraints with the no-bankruptcy halfspaces.
 
-    Returns the merged polyhedron and its ``compact`` flag, whose 2 d
-    boundedness LPs stay cached on that polyhedron. Raises OriginExcludedError
-    when the zero strategy is not allowed (some constraint offset is negative)
-    and InfeasibleError when the intersection is empty.
+    Returns the merged polyhedron and its ``compact`` flag, whose bounding
+    box (one stacked LP for a compact polytope) stays cached on that
+    polyhedron. Raises OriginExcludedError when the zero strategy is not
+    allowed (some constraint offset is negative) and InfeasibleError when the
+    intersection is empty.
     """
     if constraints.dimension != theta.dimension:
         raise ValueError("constraint dimension does not match the uncertainty set")

@@ -228,8 +228,11 @@ def _parse_theta(obj, dimension: int) -> tuple[UncertaintySet, bool]:
                      f"unknown key '{key}' in 'Theta.box.atoms[{j}]'")
         locations.append(_vector(atom.get("location"),
                                  f"Theta.box.atoms[{j}].location", dimension))
-        rate_intervals.append(_parse_interval(atom.get("rate"),
-                                              f"Theta.box.atoms[{j}].rate"))
+        rate = _parse_interval(atom.get("rate"), f"Theta.box.atoms[{j}].rate")
+        if rate[0] < 0.0:
+            raise ModelError(f"'Theta.box.atoms[{j}].rate' must not go below 0 "
+                             "(a zero lower endpoint drops the atom)")
+        rate_intervals.append(rate)
     compiled = compile_box_to_vertices(UncertaintyBox(
         b_intervals=b_intervals, c_scale=c_scale, c_base=c_base,
         atom_locations=np.array(locations) if locations else np.zeros((0, dimension)),

@@ -4,10 +4,11 @@ The solver maximizes the worst-case growth rate (a concave function of the
 strategy) over the compact intersection of the user constraints with the
 no-bankruptcy halfspaces. Multidimensional problems run one smooth epigraph
 solve (SLSQP) at each of the two most tightened levels of the shrink
-schedule and report its first-order residual; one-dimensional problems use
-golden-section search directly. The saddle's mixture on the uncertainty
-simplex comes from a stationarity LP at the maximizer, and it must pass
-explicit residual checks before it is returned.
+schedule; one-dimensional problems use golden-section search directly.
+:func:`optimality_residual` gives a strategy's first-order residual, which
+the ``solve`` report carries for multidimensional problems. The saddle's
+mixture on the uncertainty simplex comes from a stationarity LP at the
+maximizer, and it must pass explicit residual checks before it is returned.
 """
 
 from __future__ import annotations
@@ -333,10 +334,11 @@ def maximize_robust(theta: UncertaintySet, feasible: Polyhedron, utility: Utilit
     runs from the origin at each of the final two shrink levels; earlier
     levels are subsets of the last one and could only lose to it. The
     diagnostics record each solved level's value, SLSQP status and iteration
-    count, and the first-order residual of the returned strategy on the
-    untightened polytope. Raises DidNotConvergeError when the value still
-    moves by more than value_tol across the final two levels, and
-    NotCompactError when the feasible set is unbounded.
+    count; the first-order residual of the returned strategy is left to
+    :func:`optimality_residual`, which the ``solve`` report adds. Raises
+    DidNotConvergeError when the value still moves by more than value_tol
+    across the final two levels, and NotCompactError when the feasible set
+    is unbounded.
     """
     opts = opts or SolveOptions()
     model = GrowthModel(theta, utility)
@@ -382,8 +384,6 @@ def maximize_robust(theta: UncertaintySet, feasible: Polyhedron, utility: Utilit
         # The zero strategy is always feasible here and earns exactly 0.
         y = np.zeros(region.d)
         value = model.robust_value(y)
-    if region.d > 1:
-        diagnostics["kkt_residual"] = optimality_residual(theta, feasible, utility, y)
     _, worst_idx = model.robust(y)
     weights = np.zeros(model.k)
     weights[worst_idx] = 1.0

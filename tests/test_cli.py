@@ -4,8 +4,10 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from rlp import load_model, optimality_residual
 from rlp.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -197,8 +199,26 @@ def test_negative_simulation_seed_exits_1(capsys, tmp_path):
     assert report["results"]["error"]["code"] == "ModelError"
 
 
-def test_solver_seed_has_no_effect_in_two_dimensions(capsys, tmp_path):
-    model = {
+def test_negative_box_rate_exits_1(capsys, tmp_path):
+    model = json.loads(Path(BOX).read_text())
+    atom = model["Theta"]["box"]["atoms"][0]
+    atom["rate"] = [-1.0, 1.0]
+    status, report = run_json(
+        capsys, ["validate", "--model", write_model(tmp_path, json.dumps(model))])
+    assert status == 1
+    error = report["results"]["error"]
+    assert error["code"] == "ModelError"
+    assert "Theta.box.atoms[0].rate" in error["message"]
+    # a zero lower endpoint stays legal: those corners drop the atom
+    atom["rate"] = [0.0, 1.0]
+    status, report = run_json(
+        capsys, ["validate", "--model", write_model(tmp_path, json.dumps(model))])
+    assert status == 0
+    assert report["results"]["n_vertices"] == 8
+
+
+def two_asset_model() -> dict:
+    return {
         "dimension": 2,
         "utility": {"kind": "log"},
         "T": 1.0,
@@ -210,6 +230,24 @@ def test_solver_seed_has_no_effect_in_two_dimensions(capsys, tmp_path):
         ]},
         "C": {"box": [[-1.0, 1.0], [-1.0, 1.0]]},
     }
+
+
+def test_solve_reports_the_kkt_residual_in_two_dimensions(capsys, tmp_path):
+    path = write_model(tmp_path, json.dumps(two_asset_model()))
+    status, report = run_json(capsys, ["solve", "--model", path])
+    assert status == 0
+    results = report["results"]
+    spec = load_model(path)
+    residual = optimality_residual(spec.theta, spec.feasible, spec.utility,
+                                   np.array(results["y_hat"]))
+    assert results["diagnostics"]["kkt_residual"] == residual
+    status, report = run_json(capsys, ["simulate", "--model", path, "--paths", "500"])
+    assert status == 0
+    assert report["results"]["solve"]["diagnostics"]["kkt_residual"] == residual
+
+
+def test_solver_seed_has_no_effect_in_two_dimensions(capsys, tmp_path):
+    model = two_asset_model()
     path = write_model(tmp_path, json.dumps(model))
     status, default = run_json(capsys, ["solve", "--model", path])
     assert status == 0

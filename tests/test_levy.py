@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from rlp import (
     InfeasibleError,
@@ -251,6 +254,81 @@ def test_bounding_box_infeasible():
     empty = Polyhedron(np.array([[1.0], [-1.0]]), np.array([0.0, -1.0]))
     with pytest.raises(InfeasibleError):
         bounding_box(empty)
+
+
+def per_side_box(poly):
+    """Reference bounding box: one LP per side, as in the plain definition."""
+    d = poly.dimension
+    lo, hi = np.full(d, -np.inf), np.full(d, np.inf)
+    for i in range(d):
+        for sign in (1.0, -1.0):
+            res = linprog(sign * np.eye(d)[i], A_ub=poly.normals, b_ub=poly.offsets,
+                          bounds=(None, None), method="highs")
+            if res.status == 2:
+                raise InfeasibleError("empty")
+            assert res.status in (0, 3), res.message
+            if res.status == 0:
+                if sign > 0:
+                    lo[i] = res.fun
+                else:
+                    hi[i] = -res.fun
+    return lo, hi
+
+
+@st.composite
+def shaped_halfspaces(draw):
+    """(shape, polyhedron, coordinate): a box on every coordinate with one side
+    open, a strip on one coordinate, an empty set, or a bounded box, each
+    with extra rows that keep that shape."""
+    d = draw(st.integers(1, 4))
+    shape = draw(st.sampled_from(["bounded", "open_side", "strip", "empty"]))
+    k = draw(st.integers(0, d - 1))
+    radius = draw(st.lists(st.integers(1, 3), min_size=d, max_size=d))
+    normals, offsets = [], []
+    for i in range(d):
+        if shape == "strip" and i != k:
+            continue
+        normals += [np.eye(d)[i], -np.eye(d)[i]]
+        offsets += [radius[i], radius[i]]
+    if shape == "open_side":
+        del normals[2 * k], offsets[2 * k]
+    if shape == "empty":
+        normals.append(np.eye(d)[k])
+        offsets.append(-radius[k] - 1)
+    for _ in range(draw(st.integers(0, 4))):
+        row = np.array(draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d)), float)
+        if shape == "open_side":
+            row[k] = -abs(row[k])
+        if shape == "strip":
+            row = row[k] * np.eye(d)[k]
+        normals.append(row)
+        offsets.append(draw(st.integers(0, 4)))
+    return shape, Polyhedron(np.array(normals), np.array(offsets, float)), k
+
+
+@seed(20240517)
+@settings(max_examples=80, deadline=None, database=None)
+@given(shaped_halfspaces())
+def test_bounding_box_matches_the_per_side_lps(case):
+    shape, poly, k = case
+    if shape == "empty":
+        with pytest.raises(InfeasibleError):
+            per_side_box(poly)
+        with pytest.raises(InfeasibleError):
+            bounding_box(poly)
+        return
+    lo, hi = bounding_box(poly)
+    ref_lo, ref_hi = per_side_box(poly)
+    np.testing.assert_allclose(lo, ref_lo, rtol=1e-9, atol=1e-9)
+    np.testing.assert_allclose(hi, ref_hi, rtol=1e-9, atol=1e-9)
+    open_lo, open_hi = np.zeros(poly.dimension, bool), np.zeros(poly.dimension, bool)
+    if shape == "open_side":
+        open_hi[k] = True
+    if shape == "strip":
+        open_lo[:] = open_hi[:] = True
+        open_lo[k] = open_hi[k] = False
+    assert np.array_equal(np.isinf(lo), open_lo)
+    assert np.array_equal(np.isinf(hi), open_hi)
 
 
 def test_effective_domain_merges_natural_constraints():

@@ -207,6 +207,26 @@ def test_compactness_is_proved_once_per_polytope(monkeypatch):
     assert calls[0] is feasible
 
 
+def test_a_two_dimensional_verify_runs_two_lps(monkeypatch):
+    import rlp.levy
+    import rlp.optimizer
+
+    calls = []
+    for module in (rlp.levy, rlp.optimizer):
+        def counted(*args, _module=module.__name__, _linprog=module.linprog, **kwargs):
+            calls.append(_module)
+            return _linprog(*args, **kwargs)
+
+        monkeypatch.setattr(module, "linprog", counted)
+    theta, feasible, u = random_instance(1017)  # runs effective_domain
+    assert theta.dimension == 2
+    cert = find_saddle(theta, feasible, u)
+    ok, details = verify_saddle(theta, feasible, u, cert)
+    assert ok, details
+    # one stacked bounding-box LP, one stationarity LP
+    assert calls == ["rlp.levy", "rlp.optimizer"]
+
+
 def test_boundary_chasing_raises_did_not_converge():
     # fractional power keeps the growth rate finite at the no-bankruptcy
     # boundary, and a strong drift pushes the optimum onto it, so the
@@ -235,9 +255,10 @@ def test_multidimensional_solutions_report_their_certificate():
         theta, feasible, u = random_instance(seed)
         if theta.dimension != 2:
             continue
-        diagnostics = maximize_robust(theta, feasible, u, opts).diagnostics
+        solution = maximize_robust(theta, feasible, u, opts)
+        diagnostics = solution.diagnostics
         assert diagnostics["method"] == "slsqp-epigraph"
-        assert diagnostics["kkt_residual"] <= opts.value_tol
+        assert optimality_residual(theta, feasible, u, solution.y_hat) <= opts.value_tol
         levels = diagnostics["levels"]
         assert len(levels) == diagnostics["levels_run"] >= 1
         for level in levels:
