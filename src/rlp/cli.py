@@ -160,13 +160,11 @@ def _pick_strategy(spec: ProblemSpec, flags: argparse.Namespace) -> tuple[np.nda
 
 def _cmd_validate(spec: ProblemSpec, flags: argparse.Namespace) -> tuple[dict, int, list]:
     results = {
-        "ok": bool(spec.validation.ok),
         "kappa": float(spec.kappa),
         "compact": bool(spec.compact),
         "dimension": int(spec.dimension),
         "n_vertices": len(spec.theta.vertices),
         "n_constraints": int(spec.feasible.m),
-        "messages": list(spec.validation.messages),
     }
     return results, 0, []
 

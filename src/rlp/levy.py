@@ -7,9 +7,8 @@ instances can be shared freely between threads after construction.
 from __future__ import annotations
 
 import itertools
-import math
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -272,19 +271,6 @@ class UtilitySpec:
     @property
     def is_log(self) -> bool:
         return self.kind == "log"
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Summary of model-level checks: finiteness bound, compactness, violations."""
-
-    kappa: float
-    compact: bool
-    messages: tuple[str, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return self.compact and math.isfinite(self.kappa) and not self.messages
 
 
 def characteristics_bound(theta: UncertaintySet, utility: UtilitySpec) -> float:

@@ -26,7 +26,6 @@ from .levy import (
     UncertaintyBox,
     UncertaintySet,
     UtilitySpec,
-    ValidationReport,
     characteristics_bound,
     compile_box_to_vertices,
     discretize_density,
@@ -69,7 +68,6 @@ class ProblemSpec:
     feasible: Polyhedron
     compact: bool
     kappa: float
-    validation: ValidationReport
     provenance: tuple[str, ...]
     digest: str
     resolved: dict
@@ -405,7 +403,6 @@ def load_model(path: str) -> ProblemSpec:
                          "constraints leaves an unbounded direction")
     if not np.isfinite(kappa):
         raise ModelError("the characteristics bound kappa is not finite")
-    validation = ValidationReport(kappa=kappa, compact=compact, messages=())
     provenance = []
     if discretized:
         provenance.append("density_discretized")
@@ -415,7 +412,7 @@ def load_model(path: str) -> ProblemSpec:
     return ProblemSpec(
         dimension=dimension, utility=utility, horizon=horizon, x0=x0,
         constraints=constraints, theta=theta, solver=solver, simulation=simulation,
-        feasible=feasible, compact=compact, kappa=kappa, validation=validation,
+        feasible=feasible, compact=compact, kappa=kappa,
         provenance=tuple(provenance), digest=digest, resolved=resolved)
 
 

@@ -97,12 +97,12 @@ class SaddleCertificate:
 
 
 class FeasibleRegion:
-    """A constraint polyhedron with projection and sampling helpers."""
+    """A constraint polyhedron that contains the origin, with a projection
+    helper that pulls solver output back inside."""
 
     def __init__(self, poly: Polyhedron):
         self.poly = poly
         self.d = poly.dimension
-        self._row_norm2 = (poly.normals ** 2).sum(axis=1) if poly.m else np.zeros(0)
 
     @property
     def interval(self) -> tuple[float, float]:
@@ -111,67 +111,17 @@ class FeasibleRegion:
         lo, hi = self.poly.bounds
         return float(lo[0]), float(hi[0])
 
-    def contains(self, y: np.ndarray, tol: float = 1e-9) -> bool:
-        return self.poly.contains(y, tol)
-
     def project(self, y: np.ndarray) -> np.ndarray:
-        """Euclidean projection by Dykstra's algorithm over the halfspaces."""
+        """Return y when inside, else y scaled toward the origin until every
+        halfspace holds, with a relative 1e-12 inward margin. The origin is
+        feasible because every offset is nonnegative."""
         y = np.asarray(y, dtype=float)
         if self.poly.contains(y, tol=0.0):
             return y
-        x = y.copy()
-        corrections = np.zeros((self.poly.m, self.d))
-        for _ in range(100):
-            shift = 0.0
-            for j in range(self.poly.m):
-                z = x + corrections[j]
-                viol = self.poly.normals[j] @ z - self.poly.offsets[j]
-                if viol > 0.0:
-                    x_new = z - (viol / self._row_norm2[j]) * self.poly.normals[j]
-                else:
-                    x_new = z
-                corrections[j] = z - x_new
-                shift = max(shift, float(np.max(np.abs(x - x_new))))
-                x = x_new
-            if shift < 1e-13:
-                break
-        return self._pull_inside(x)
-
-    def _pull_inside(self, y: np.ndarray) -> np.ndarray:
-        """Scale toward the origin until feasible; valid because offsets are >= 0."""
-        if self.poly.m == 0 or np.any(self.poly.offsets < 0.0):
-            return y
         vals = self.poly.normals @ y
-        scale = 1.0
-        for v, o in zip(vals, self.poly.offsets):
-            if v > o:
-                scale = min(scale, o / v if v > 0 else 0.0)
-        if scale < 1.0:
-            y = y * scale * (1.0 - 1e-12)
-        return y
-
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """Random interior point along a ray from the origin.
-
-        The ray's exit distance comes from the halfspaces alone: a ray that
-        stays inside them forever has no bounded exit, box or not.
-        """
-        for _ in range(32):
-            direction = rng.standard_normal(self.d)
-            norm = np.linalg.norm(direction)
-            if norm == 0.0:
-                continue
-            direction /= norm
-            t_max = math.inf
-            if self.poly.m:
-                rays = self.poly.normals @ direction
-                for r, o in zip(rays, self.poly.offsets):
-                    if r > 1e-14:
-                        t_max = min(t_max, o / r)
-            if not math.isfinite(t_max) or t_max <= 1e-12:
-                continue
-            return direction * t_max * rng.uniform(0.05, 0.9)
-        return np.zeros(self.d)
+        outside = vals > self.poly.offsets
+        scale = float(np.min(self.poly.offsets[outside] / vals[outside], initial=1.0))
+        return y * scale * (1.0 - 1e-12)
 
 
 def golden_max(fun, lo: float, hi: float, xtol: float = 1e-11) -> tuple[float, float]:
@@ -236,7 +186,8 @@ def _slsqp_max(model: GrowthModel, region: FeasibleRegion, y0: np.ndarray,
                floor: float) -> tuple[np.ndarray, OptimizeResult]:
     """Smooth epigraph solve of max over y of min over vertices, from y0.
 
-    Returns the solution projected onto the region and the raw SLSQP result.
+    Returns the solution, scaled back into the region when SLSQP ends just
+    outside it, and the raw SLSQP result.
     """
     d = region.d
     poly = region.poly
@@ -292,28 +243,22 @@ def _slsqp_max(model: GrowthModel, region: FeasibleRegion, y0: np.ndarray,
 
 
 def _single_max(triplet: LevyTriplet, region: FeasibleRegion, utility: UtilitySpec,
-                y0: np.ndarray | None = None, floor: float = -1.0 + 0.5 / 1024,
-                extra_starts: int = 0, seed: int = 0) -> tuple[np.ndarray, float]:
-    """Concave maximization of a single triplet's growth rate over the region."""
+                y0: np.ndarray | None = None,
+                floor: float = -1.0 + 0.5 / 1024) -> tuple[np.ndarray, float]:
+    """Maximize one triplet's growth rate over the region.
+
+    The growth rate is concave in the strategy, so one local solve is global:
+    golden-section search in one dimension, otherwise one SLSQP solve from y0
+    (the origin when y0 is None).
+    """
     model = GrowthModel(UncertaintySet((triplet,)), utility)
     if region.d == 1:
         lo, hi = region.interval
         x, value = golden_max(lambda t: model.robust_value(np.array([t])), lo, hi)
         return np.array([x]), value
-    starts: list[np.ndarray] = []
-    if y0 is not None:
-        starts.append(np.asarray(y0, dtype=float))
-    starts.append(np.zeros(region.d))
-    rng = np.random.default_rng([seed, 7])
-    for _ in range(extra_starts):
-        starts.append(region.sample(rng))
-    best_y, best_v = None, -math.inf
-    for start in starts:
-        y, _ = _slsqp_max(model, region, start, floor)
-        value = model.robust_value(y)
-        if value > best_v:
-            best_y, best_v = y, value
-    return best_y, best_v
+    start = np.zeros(region.d) if y0 is None else y0
+    y, _ = _slsqp_max(model, region, start, floor)
+    return y, model.robust_value(y)
 
 
 def _response_region(theta: UncertaintySet, feasible: Polyhedron,
@@ -494,17 +439,17 @@ def verify_saddle(theta: UncertaintySet, feasible: Polyhedron, utility: UtilityS
                   candidate: SaddleCertificate, tol: float = 1e-6) -> tuple[bool, dict]:
     """Recheck a saddle candidate from scratch.
 
-    Recomputes (a) the best response value against the candidate mixture by
-    single-triplet concave maximization, (b) the worst vertex value at the
-    candidate strategy, and (c) a fresh robust solve, and compares each with
-    the candidate value.
+    Recomputes (a) the best response value against the candidate mixture,
+    one concave maximization started from the candidate strategy, (b) the
+    worst vertex value at the candidate strategy, and (c) a fresh robust
+    solve, and compares each with the candidate value.
     """
     model = GrowthModel(theta, utility)
     defaults = SolveOptions()
     inner_region, floor = _response_region(theta, feasible, defaults.shrink_schedule[-1])
     mixed = theta.mix(candidate.theta_hat_weights)
     _, sup_mixture = _single_max(mixed, inner_region, utility, y0=candidate.y_hat,
-                                 floor=floor, extra_starts=3, seed=99991)
+                                 floor=floor)
     worst_at_y = float(np.min(model.vertex_values(candidate.y_hat)))
     fresh = maximize_robust(theta, feasible, utility, defaults)
     checks = {
@@ -532,7 +477,7 @@ def _composition_grid(k: int, m: int) -> np.ndarray:
 
 
 def mixture_grid_min(theta: UncertaintySet, feasible: Polyhedron, utility: UtilitySpec,
-                     n_points: int = 200, seed: int = 0) -> tuple[float, np.ndarray]:
+                     n_points: int = 200) -> tuple[float, np.ndarray]:
     """Grid estimate of the mixture player's optimal best-response value.
 
     Spends roughly 60 percent of the ``n_points`` evaluation budget on the
@@ -550,8 +495,7 @@ def mixture_grid_min(theta: UncertaintySet, feasible: Polyhedron, utility: Utili
 
     def best_response(weights: np.ndarray) -> float:
         mixed = theta.mix(weights)
-        y_w, value = _single_max(mixed, inner_region, utility, y0=warm[0],
-                                 floor=floor, seed=seed)
+        y_w, value = _single_max(mixed, inner_region, utility, y0=warm[0], floor=floor)
         warm[0] = y_w
         return value
 

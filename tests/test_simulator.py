@@ -106,15 +106,6 @@ def test_mc_estimate_is_deterministic():
     assert a.mean == b.mean and a.stderr == b.stderr
 
 
-def test_thread_count_does_not_change_the_estimate(monkeypatch):
-    t = jump_diffusion()
-    single = mc_expected_utility(t, np.array([0.8]), LOG, 1.0, 1.0, 60000, 9)
-    monkeypatch.setenv("RLP_THREADS", "4")
-    threaded = mc_expected_utility(t, np.array([0.8]), LOG, 1.0, 1.0, 60000, 9)
-    assert single.mean == threaded.mean
-    assert single.stderr == threaded.stderr
-
-
 def test_ruin_paths_flag_minus_infinity():
     # jumps of size -1 wipe wealth out; log utility of 0 is -inf
     t = jump_diffusion(b=0.0, c=0.01, atoms=((5.0, (-1.0,)),))
