@@ -8,7 +8,10 @@ schedule; one-dimensional problems use golden-section search directly.
 :func:`optimality_residual` gives a strategy's first-order residual, which
 the ``solve`` report carries for multidimensional problems. The saddle's
 mixture on the uncertainty simplex comes from a stationarity LP at the
-maximizer, and it must pass explicit residual checks before it is returned.
+maximizer; the best response to it and the worst vertex value at the
+maximizer bracket the game value, and the bracket certifies the pair.
+:func:`mixture_min` solves the mixture player's side by Kelley's cutting
+planes and brackets its value the same way.
 """
 
 from __future__ import annotations
@@ -35,6 +38,9 @@ from .levy import (
 )
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Kelley's cutting planes stop on this relative bracket width, or this many cuts.
+_KELLEY_RTOL = 1e-7
+_KELLEY_MAX_CUTS = 60
 
 
 @dataclass(frozen=True)
@@ -80,8 +86,8 @@ class SaddleCertificate:
     residual_min_theta
         How far y_hat is from making the mixture a worst case.
     gap
-        Difference between the mixture's best response value and the
-        solved worst-case value (outer minus inner estimate).
+        Width of the value bracket: the mixture's best response value (an
+        upper bound) minus the worst vertex value at y_hat (a lower bound).
     """
 
     y_hat: np.ndarray
@@ -406,10 +412,11 @@ def find_saddle(theta: UncertaintySet, feasible: Polyhedron, utility: UtilitySpe
     The mixture is the one the stationarity LP finds at the maximizer: its
     gradient lies in the normal cone of the polytope there. Vertices count as
     active within a quarter of certify_tol, but never closer than the
-    solver's 1e-9 resolution (both relative to the worst value). Certification
-    requires all three residuals to stay within certify_tol, which defaults
-    to 10 * value_tol; otherwise SaddleNotCertifiedError carries the
-    candidate.
+    solver's 1e-9 resolution (both relative to the worst value). The best
+    response to the mixture and the worst vertex value at the maximizer
+    bracket the game value; certification requires the bracket and both
+    residuals within certify_tol, which defaults to 10 * value_tol;
+    otherwise SaddleNotCertifiedError carries the candidate.
     """
     opts = opts or SolveOptions()
     solution = maximize_robust(theta, feasible, utility, opts)
@@ -437,111 +444,63 @@ def find_saddle(theta: UncertaintySet, feasible: Polyhedron, utility: UtilitySpe
 
 def verify_saddle(theta: UncertaintySet, feasible: Polyhedron, utility: UtilitySpec,
                   candidate: SaddleCertificate, tol: float = 1e-6) -> tuple[bool, dict]:
-    """Recheck a saddle candidate from scratch.
+    """Recheck a saddle candidate by bracketing the game value.
 
-    Recomputes (a) the best response value against the candidate mixture,
-    one concave maximization started from the candidate strategy, (b) the
-    worst vertex value at the candidate strategy, and (c) a fresh robust
-    solve, and compares each with the candidate value.
+    ``max_y``, the best response to the candidate mixture (one concave
+    maximization on the default final shrink level, started from the
+    candidate strategy), is an upper bound on the value; ``min_theta``, the
+    worst vertex value at the candidate strategy, is a lower bound. The
+    candidate passes when both lie within tol of its value and the bracket
+    width ``gap`` = max_y - min_theta is within tol too.
     """
     model = GrowthModel(theta, utility)
-    defaults = SolveOptions()
-    inner_region, floor = _response_region(theta, feasible, defaults.shrink_schedule[-1])
+    inner_region, floor = _response_region(theta, feasible, SolveOptions().shrink_schedule[-1])
     mixed = theta.mix(candidate.theta_hat_weights)
     _, sup_mixture = _single_max(mixed, inner_region, utility, y0=candidate.y_hat,
                                  floor=floor)
     worst_at_y = float(np.min(model.vertex_values(candidate.y_hat)))
-    fresh = maximize_robust(theta, feasible, utility, defaults)
-    checks = {
-        "max_y": sup_mixture,
-        "min_theta": worst_at_y,
-        "sup_inf": fresh.robust_g,
-    }
+    checks = {"max_y": sup_mixture, "min_theta": worst_at_y}
     residuals = {name: abs(value - candidate.value) for name, value in checks.items()}
-    ok = all(r <= tol for r in residuals.values())
+    residuals["gap"] = sup_mixture - worst_at_y
+    ok = all(abs(r) <= tol for r in residuals.values())
     return ok, {"checks": checks, "residuals": residuals, "tolerance": tol}
 
 
-def _composition_grid(k: int, m: int) -> np.ndarray:
-    """All nonnegative integer compositions of m into k parts, scaled to the simplex."""
+def mixture_min(theta: UncertaintySet, feasible: Polyhedron,
+                utility: UtilitySpec) -> tuple[float, float, np.ndarray]:
+    """Bracket min over mixtures w of max over y of sum_i w_i G_i(y) by
+    Kelley's cutting planes; return (lower, upper, weights).
 
-    def rec(remaining: int, parts: int):
-        if parts == 1:
-            yield (remaining,)
-            return
-        for first in range(remaining + 1):
-            for rest in rec(remaining - first, parts - 1):
-                yield (first,) + rest
-
-    return np.array(list(rec(m, k)), dtype=float) / m
-
-
-def mixture_grid_min(theta: UncertaintySet, feasible: Polyhedron, utility: UtilitySpec,
-                     n_points: int = 200) -> tuple[float, np.ndarray]:
-    """Grid estimate of the mixture player's optimal best-response value.
-
-    Spends roughly 60 percent of the ``n_points`` evaluation budget on the
-    densest uniform simplex grid that fits, then refines around the incumbent
-    on the same lattice: single-coordinate transfer moves at the current mesh,
-    halving the mesh whenever no neighbour improves. Lattice points are exact
-    integer fractions, so revisits cost nothing and the search is
-    deterministic. Returns the smallest best-response value seen and its
-    mixture.
+    That function of w is convex, and a best response y_w to any mixture
+    gives the cut w' -> sum_i w'_i G_i(y_w) below it. From uniform weights,
+    each round runs one best response on the final shrink level (warm-started
+    from the last), adds its cut and solves the master LP min t subject to
+    cut_j . w <= t over the simplex: its optimum is the lower bound and its
+    argmin the next mixture. The smallest best-response value is the upper
+    bound, and weights the mixture that reached it. Stops when the bracket is
+    within 1e-7 (1 + |upper|) or after 60 cuts.
     """
     k = len(theta.vertices)
-    inner_region, floor = _response_region(theta, feasible, SolveOptions().shrink_schedule[-1])
-
-    warm: list[np.ndarray | None] = [None]
-
-    def best_response(weights: np.ndarray) -> float:
-        mixed = theta.mix(weights)
-        y_w, value = _single_max(mixed, inner_region, utility, y0=warm[0], floor=floor)
-        warm[0] = y_w
-        return value
-
-    if k == 1:
-        w = np.ones(1)
-        return best_response(w), w
-
-    memo: dict[tuple, float] = {}
-    spent = [0]
-
-    def value_at(counts: np.ndarray, denom: int) -> float:
-        g = int(np.gcd.reduce(np.concatenate([counts, [denom]])))
-        key = (denom // g, tuple(int(c) // g for c in counts))
-        if key not in memo:
-            spent[0] += 1
-            memo[key] = best_response(counts / denom)
-        return memo[key]
-
-    mesh = 1
-    while math.comb(mesh + k, k - 1) <= int(0.6 * n_points):
-        mesh += 1
-    coarse = np.rint(_composition_grid(k, mesh) * mesh).astype(int)
-    best_value, best_counts, denom = math.inf, coarse[0], mesh
-    for counts in coarse:
-        value = value_at(counts, mesh)
-        if value < best_value:
-            best_value, best_counts = value, counts
-    while spent[0] < n_points and denom <= 4096:
-        step_value, step_counts = best_value, None
-        for i in range(k):
-            for j in range(k):
-                if i == j or best_counts[j] == 0:
-                    continue
-                neighbour = best_counts.copy()
-                neighbour[i] += 1
-                neighbour[j] -= 1
-                value = value_at(neighbour, denom)
-                if value < step_value:
-                    step_value, step_counts = value, neighbour
-                if spent[0] >= n_points:
-                    break
-            if spent[0] >= n_points:
-                break
-        if step_counts is None:
-            denom *= 2
-            best_counts = best_counts * 2
-        else:
-            best_value, best_counts = step_value, step_counts
-    return best_value, best_counts / denom
+    model = GrowthModel(theta, utility)
+    region, floor = _response_region(theta, feasible, SolveOptions().shrink_schedule[-1])
+    cost = np.append(np.zeros(k), 1.0)
+    a_eq = np.append(np.ones(k), 0.0)[None, :]
+    bounds = [(0.0, None)] * k + [(None, None)]
+    weights = np.full(k, 1.0 / k)
+    lower, upper, best, y = -math.inf, math.inf, weights, None
+    cuts: list[np.ndarray] = []
+    while len(cuts) < _KELLEY_MAX_CUTS:
+        y, value = _single_max(theta.mix(weights), region, utility, y0=y, floor=floor)
+        if value < upper:
+            upper, best = value, weights
+        if k == 1:
+            return value, value, weights
+        cuts.append(np.append(model.vertex_values(y), -1.0))
+        res = linprog(cost, A_ub=np.array(cuts), b_ub=np.zeros(len(cuts)),
+                      A_eq=a_eq, b_eq=[1.0], bounds=bounds, method="highs")
+        lower = float(res.fun)
+        weights = np.clip(res.x[:k], 0.0, None)
+        weights /= weights.sum()
+        if upper - lower <= _KELLEY_RTOL * (1.0 + abs(upper)):
+            break
+    return lower, upper, best

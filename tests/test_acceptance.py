@@ -26,7 +26,7 @@ from rlp import (
     martingale_check,
     maximize_robust,
     mc_expected_utility,
-    mixture_grid_min,
+    mixture_min,
     natural_constraints,
     problem_value,
     worst_case_growth,
@@ -78,7 +78,7 @@ def test_criterion_3_minimax_identity(capfd):
     for seed in range(1000, 1020):
         theta, feasible, utility = random_instance(seed)
         sup_inf = maximize_robust(theta, feasible, utility).robust_g
-        inf_sup, _ = mixture_grid_min(theta, feasible, utility, n_points=200)
+        _, inf_sup, _ = mixture_min(theta, feasible, utility)
         gap = abs(sup_inf - inf_sup)
         worst_gap = max(worst_gap, gap)
         if gap > 1e-5:

@@ -1,4 +1,4 @@
-"""Robust maximization, saddle extraction, and the mixture grid oracle."""
+"""Robust maximization, saddle extraction, and the mixture player's bracket."""
 
 import math
 
@@ -20,7 +20,7 @@ from rlp import (
     effective_domain,
     find_saddle,
     maximize_robust,
-    mixture_grid_min,
+    mixture_min,
     optimality_residual,
     problem_value,
     verify_saddle,
@@ -232,9 +232,9 @@ def test_a_two_dimensional_verify_runs_two_lps(monkeypatch):
     assert ok, details
     # one stacked bounding-box LP, one stationarity LP
     assert calls == ["rlp.levy", "rlp.optimizer"]
-    # two shrink levels and one best response in each of find_saddle and
-    # verify_saddle, plus the recheck's fresh robust solve (two levels)
-    assert slsqp_calls == ["SLSQP"] * 6
+    # find_saddle's robust solve (two shrink levels) and best response, and
+    # the recheck's one best response
+    assert slsqp_calls == ["SLSQP"] * 4
 
 
 def test_boundary_chasing_raises_did_not_converge():
@@ -316,7 +316,7 @@ def test_verify_saddle_rejects_an_off_optimum_candidate():
         residual_max_y=0.0, residual_min_theta=0.0, gap=0.0)
     ok, details = verify_saddle(theta, feasible, LOG, shifted, tol=1e-6)
     assert not ok
-    assert details["residuals"]["sup_inf"] > 1e-4
+    assert details["residuals"]["gap"] > 1e-4
 
 
 def test_optimality_residual_separates_optimum_from_rest():
@@ -325,20 +325,21 @@ def test_optimality_residual_separates_optimum_from_rest():
     assert optimality_residual(theta, feasible, LOG, np.array([1.0])) > 1e-3
 
 
-def test_mixture_grid_finds_the_interior_mixture():
+def test_mixture_min_finds_the_interior_mixture():
     theta = UncertaintySet((one_asset(0.10, 0.03), one_asset(-0.05, 0.01)))
     feasible, _ = effective_domain(Polyhedron.box([(-1.0, 1.0)]), theta)
-    gmin, weights = mixture_grid_min(theta, feasible, LOG)
-    assert gmin == pytest.approx(0.0, abs=1e-6)
-    assert weights == pytest.approx([1.0 / 3.0, 2.0 / 3.0], abs=0.02)
+    _, upper, weights = mixture_min(theta, feasible, LOG)
+    assert upper == pytest.approx(0.0, abs=1e-6)
+    assert weights == pytest.approx([1.0 / 3.0, 2.0 / 3.0], abs=1e-6)
 
 
-def test_mixture_grid_matches_the_robust_value():
+def test_mixture_min_brackets_the_robust_value():
     for seed in (1017, 2024):
         theta, feasible, u = random_instance(seed)
         sol = maximize_robust(theta, feasible, u)
-        gmin, _ = mixture_grid_min(theta, feasible, u)
-        assert abs(gmin - sol.robust_g) <= 1e-5
+        lower, upper, _ = mixture_min(theta, feasible, u)
+        assert lower - 1e-9 <= sol.robust_g <= upper + 1e-9
+        assert upper - lower <= 1e-7 * (1.0 + abs(upper))
 
 
 def test_saddle_not_certified_carries_the_best_candidate():
