@@ -98,6 +98,17 @@ def _vector(obj, name: str, length: int | None = None) -> np.ndarray:
     return vec
 
 
+def _matrix(obj, name: str, dimension: int) -> np.ndarray:
+    """A dimension x dimension matrix given as a list of rows, or as a bare
+    number in one dimension."""
+    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        _require(dimension == 1, f"'{name}' must be a matrix for dimension > 1")
+        return np.array([[_number(obj, name)]])
+    _require(isinstance(obj, list) and len(obj) == dimension,
+             f"'{name}' must be a {dimension}x{dimension} matrix")
+    return np.array([_vector(row, name, dimension) for row in obj])
+
+
 def _parse_utility(obj) -> UtilitySpec:
     _require(isinstance(obj, dict), "'utility' must be an object")
     kind = obj.get("kind")
@@ -152,8 +163,11 @@ def _parse_jumps(obj, dimension: int, where: str) -> tuple[JumpMeasure, bool]:
     grid_points = density.get("grid_points", 16)
     _require(isinstance(grid_points, int) and not isinstance(grid_points, bool),
              f"'{where}.density.grid_points' must be an integer")
-    measure = discretize_density(lambda z: level + slope * z,
-                                 (support[0], support[1]), grid_points)
+    try:
+        measure = discretize_density(lambda z: level + slope * z,
+                                     (support[0], support[1]), grid_points)
+    except ValueError as exc:
+        raise ModelError(f"invalid '{where}.density': {exc}") from exc
     return measure, True
 
 
@@ -162,14 +176,7 @@ def _parse_triplet(obj, dimension: int, where: str) -> tuple[LevyTriplet, bool]:
     for key in obj:
         _require(key in ("b", "c", "jumps"), f"unknown key '{key}' in '{where}'")
     b = _vector(obj.get("b"), f"{where}.b", dimension)
-    c_raw = obj.get("c")
-    if isinstance(c_raw, (int, float)) and not isinstance(c_raw, bool):
-        _require(dimension == 1, f"'{where}.c' must be a matrix for dimension > 1")
-        c = np.array([[_number(c_raw, f"{where}.c")]])
-    else:
-        _require(isinstance(c_raw, list) and len(c_raw) == dimension,
-                 f"'{where}.c' must be a {dimension}x{dimension} matrix")
-        c = np.array([_vector(row, f"{where}.c", dimension) for row in c_raw])
+    c = _matrix(obj.get("c"), f"{where}.c", dimension)
     jumps, discretized = _parse_jumps(obj.get("jumps"), dimension, f"{where}.jumps")
     return LevyTriplet(b, c, jumps), discretized
 
@@ -207,15 +214,8 @@ def _parse_theta(obj, dimension: int) -> tuple[UncertaintySet, bool]:
     b_intervals = np.array([_parse_interval(row, f"Theta.box.b[{i}]")
                             for i, row in enumerate(b_rows)])
     c_scale = _parse_interval(box.get("c_scale", [1.0, 1.0]), "Theta.box.c_scale")
-    c_base_raw = box.get("c_base")
-    if c_base_raw is None:
-        c_base = np.eye(dimension)
-    elif isinstance(c_base_raw, (int, float)) and not isinstance(c_base_raw, bool):
-        _require(dimension == 1, "'Theta.box.c_base' must be a matrix for dimension > 1")
-        c_base = np.array([[_number(c_base_raw, "Theta.box.c_base")]])
-    else:
-        c_base = np.array([_vector(row, "Theta.box.c_base", dimension)
-                           for row in c_base_raw])
+    c_base = (np.eye(dimension) if box.get("c_base") is None
+              else _matrix(box["c_base"], "Theta.box.c_base", dimension))
     atoms = box.get("atoms", [])
     _require(isinstance(atoms, list), "'Theta.box.atoms' must be a list")
     locations, rate_intervals = [], []

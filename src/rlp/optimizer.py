@@ -11,7 +11,9 @@ mixture on the uncertainty simplex comes from a stationarity LP at the
 maximizer; the best response to it and the worst vertex value at the
 maximizer bracket the game value, and the bracket certifies the pair.
 :func:`mixture_min` solves the mixture player's side by Kelley's cutting
-planes and brackets its value the same way.
+planes and brackets its value the same way. Every multidimensional solve,
+robust or a best response to one triplet, is the same SLSQP epigraph
+problem; a best response is its one-vertex case.
 """
 
 from __future__ import annotations
@@ -190,7 +192,10 @@ def problem_value(robust_growth: float, utility: UtilitySpec, x0: float, horizon
 
 def _slsqp_max(model: GrowthModel, region: FeasibleRegion, y0: np.ndarray,
                floor: float) -> tuple[np.ndarray, OptimizeResult]:
-    """Smooth epigraph solve of max over y of min over vertices, from y0.
+    """Smooth epigraph solve from y0: maximize t over (y, t) subject to
+    G_j(y) >= t for each vertex's smoothed growth rate G_j, and y in the
+    region. With one vertex (a best response) this is the maximization of
+    G_1 itself.
 
     Returns the solution, scaled back into the region when SLSQP ends just
     outside it, and the raw SLSQP result.
@@ -208,19 +213,6 @@ def _slsqp_max(model: GrowthModel, region: FeasibleRegion, y0: np.ndarray,
         return cache[key]
 
     y0 = np.asarray(y0, dtype=float)
-    if model.k == 1:
-        constraints = []
-        if poly.m:
-            constraints.append({
-                "type": "ineq",
-                "fun": lambda y: poly.offsets - poly.normals @ y,
-                "jac": lambda y: -poly.normals,
-            })
-        res = minimize(lambda y: -smoothed(y)[0][0], y0,
-                       jac=lambda y: -smoothed(y)[1][0],
-                       method="SLSQP", constraints=constraints,
-                       options={"maxiter": 300, "ftol": 1e-14})
-        return region.project(res.x), res
 
     def vert_fun(x):
         vals, _ = smoothed(x[:d])

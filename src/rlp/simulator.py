@@ -1,11 +1,13 @@
-"""Exact simulation of finite-activity Levy wealth and Monte Carlo cross-checks.
+"""Exact simulation of finite-activity Levy log-wealth and Monte Carlo cross-checks.
 
-Jumps are compound Poisson, so paths are sampled exactly: a Poisson jump
-count, uniform jump times, atom locations drawn proportionally to their
-rates, and a Gaussian diffusion increment through the symmetric square root
-of the diffusion matrix. Randomness is counter-based: per-path streams derive
-from (seed, path index) and chunked estimates derive from (seed, chunk
-index), so results never depend on scheduling.
+Under a constant-proportion strategy pi, terminal log-wealth is a
+deterministic drift term, a Gaussian term of variance T pi.c.pi and a
+compound Poisson sum of log(1 + pi.z), so it is sampled exactly without a
+time grid: per path one Poisson jump count, atom locations drawn in
+proportion to their rates, and one normal draw. Paths are drawn in
+fixed-size chunks, each from its own counter-based Philox stream keyed by
+(seed, chunk index), so an estimate depends only on the seed and the path
+count.
 """
 
 from __future__ import annotations
@@ -21,22 +23,9 @@ from .levy import LevyTriplet, UtilitySpec
 from .optimizer import problem_value
 
 _CHUNK = 25000
-# Chunk streams live in a different key range than per-path streams.
+# Chunk i draws from the Philox key (seed, _CHUNK_STREAM + i). Every Monte
+# Carlo number depends on this offset; changing it changes every estimate.
 _CHUNK_STREAM = np.uint64(1) << np.uint64(62)
-
-
-@dataclass(frozen=True, eq=False)
-class PathRecord:
-    """One exact path summary: diffusion endpoint and the jump list.
-
-    brownian_terminal is the d-vector sqrt(c) B_T, jump_times are increasing
-    in [0, horizon], and jump_locations align with them row by row.
-    """
-
-    brownian_terminal: np.ndarray
-    jump_times: np.ndarray
-    jump_locations: np.ndarray
-    horizon: float
 
 
 @dataclass(frozen=True)
@@ -57,65 +46,6 @@ class McEstimate:
 def _generator(seed: int, stream: int) -> np.random.Generator:
     key = np.array([np.uint64(seed), np.uint64(stream)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def _diffusion_root(c: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(np.asarray(c, dtype=float))
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
-
-
-def sample_path(triplet: LevyTriplet, horizon: float, seed: int, index: int) -> PathRecord:
-    """Sample one path, reproducibly keyed by (seed, index).
-
-    Draw order is fixed: jump count, jump times, atom choices, then the
-    Gaussian vector, so identical keys give identical records.
-    """
-    if horizon <= 0.0:
-        raise ValueError("the horizon must be positive")
-    rng = _generator(seed, index)
-    d = triplet.dimension
-    jumps = triplet.jumps
-    total = jumps.total_rate
-    if total > 0.0:
-        count = int(rng.poisson(total * horizon))
-    else:
-        count = 0
-    if count:
-        times = np.sort(rng.uniform(0.0, horizon, size=count))
-        chosen = rng.choice(jumps.m, size=count, p=jumps.rates / total)
-        locations = jumps.locations[chosen]
-    else:
-        times = np.zeros(0)
-        locations = np.zeros((0, d))
-    gauss = rng.standard_normal(d)
-    brownian = _diffusion_root(triplet.c) @ gauss * math.sqrt(horizon)
-    return PathRecord(brownian_terminal=brownian, jump_times=times,
-                      jump_locations=locations, horizon=horizon)
-
-
-def terminal_wealth(path: PathRecord, triplet: LevyTriplet, strategy: np.ndarray,
-                    x0: float) -> float:
-    """Terminal wealth of a constant-proportion strategy along one path.
-
-    Compensates the drift by the truncated jump mean, applies the diffusion
-    endpoint with its quadratic correction, and multiplies one factor
-    1 + strategy . z per jump. A zero factor gives wealth exactly 0; a
-    negative factor raises NegativeWealthError.
-    """
-    if x0 <= 0.0:
-        raise ValueError("initial capital must be positive")
-    pi = np.atleast_1d(np.asarray(strategy, dtype=float))
-    horizon = path.horizon
-    drift = triplet.b - triplet.jumps.truncated_mean()
-    log_cont = (float(pi @ drift) * horizon + float(pi @ path.brownian_terminal)
-                - 0.5 * float(pi @ triplet.c @ pi) * horizon)
-    factors = 1.0 + path.jump_locations @ pi if len(path.jump_times) else np.ones(0)
-    if np.any(factors < 0.0):
-        raise NegativeWealthError(
-            "a jump drove wealth negative; the strategy leaves the admissible region")
-    if np.any(factors == 0.0):
-        return 0.0
-    return x0 * math.exp(log_cont) * float(np.prod(factors))
 
 
 def _log_wealth(triplet: LevyTriplet, pi: np.ndarray, horizon: float,

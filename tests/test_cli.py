@@ -13,6 +13,7 @@ from rlp.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 BOX = str(ROOT / "models" / "box_log_jump.json")
 MERTON = str(ROOT / "models" / "merton_power.json")
+TWO_ASSET = str(ROOT / "models" / "two_asset_log.json")
 
 
 def run(capsys, argv):
@@ -216,18 +217,58 @@ def test_negative_box_rate_exits_1(capsys, tmp_path):
 
 
 def two_asset_model() -> dict:
-    return {
-        "dimension": 2,
-        "utility": {"kind": "log"},
-        "T": 1.0,
-        "x0": 1.0,
-        "Theta": {"vertices": [
-            {"b": [0.06, 0.04], "c": [[0.04, 0.01], [0.01, 0.05]],
-             "jumps": {"atoms": [{"rate": 0.1, "location": [-0.5, 0.2]}]}},
-            {"b": [0.03, 0.05], "c": [[0.05, 0.0], [0.0, 0.04]]},
-        ]},
-        "C": {"box": [[-1.0, 1.0], [-1.0, 1.0]]},
-    }
+    return json.loads(Path(TWO_ASSET).read_text())
+
+
+def test_the_bundled_two_asset_model_solves_and_verifies(capsys):
+    status, report = run_json(capsys, ["solve", "--model", TWO_ASSET])
+    assert status == 0
+    results = report["results"]
+    assert results["diagnostics"]["method"] == "slsqp-epigraph"
+    assert results["diagnostics"]["kkt_residual"] <= 1e-8
+    status, report = run_json(capsys, ["saddle", "--model", TWO_ASSET])
+    assert status == 0
+    results = report["results"]
+    assert results["certified"] is True
+    # both vertices bind: the worst case is an interior mixture
+    assert results["theta_hat_weights"] == pytest.approx([0.2418, 0.7582], abs=1e-3)
+    status, report = run_json(capsys, ["verify", "--model", TWO_ASSET])
+    assert status == 0
+    results = report["results"]
+    assert results["passed"] is True
+    assert results["independent_recheck"]["residuals"]["gap"] <= 1e-12
+    assert results["mc_vs_closed_form"]["mc"]["n_paths"] == 100000
+
+
+def density_model(**density) -> dict:
+    model = json.loads(Path(MERTON).read_text())
+    model["Theta"]["vertices"][0]["jumps"] = {"density": {
+        "form": "linear", "level": 0.5, "slope": 0.1, "support": [0.5, 1.5],
+        "grid_points": 4, **density}}
+    return model
+
+
+def box_model(**box) -> dict:
+    model = json.loads(Path(BOX).read_text())
+    model["Theta"]["box"].update(box)
+    return model
+
+
+@pytest.mark.parametrize("model, code, where", [
+    (box_model(c_base=True), "SchemaError", "Theta.box.c_base"),
+    (density_model(grid_points=1), "ModelError", "Theta.vertices[0].jumps.density"),
+    (density_model(support=[1.5, 0.5]), "ModelError", "Theta.vertices[0].jumps.density"),
+    # level + slope z is -0.1375 at the first cell midpoint, z = 0.625
+    (density_model(level=-0.2), "ModelError", "Theta.vertices[0].jumps.density"),
+], ids=["bool-c-base", "one-grid-point", "reversed-support", "negative-density"])
+def test_malformed_models_exit_1_with_an_error_report(capsys, tmp_path, model, code, where):
+    status = main(["validate", "--model", write_model(tmp_path, json.dumps(model))])
+    captured = capsys.readouterr()
+    assert status == 1
+    assert "Traceback" not in captured.err
+    error = json.loads(captured.out)["results"]["error"]
+    assert error["code"] == code
+    assert where in error["message"]
 
 
 def test_solve_reports_the_kkt_residual_in_two_dimensions(capsys, tmp_path):

@@ -1,18 +1,23 @@
 """Model file loading, validation, and report serialization."""
 
+import copy
 import hashlib
 import json
 import math
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
 
 from rlp import (
     FileIoError,
     ModelError,
     NanResultError,
     ParseError,
+    ProblemSpec,
     Report,
+    RlpError,
     SchemaError,
     canonical_json,
     emit_report,
@@ -204,6 +209,55 @@ def test_density_models_are_discretized(tmp_path):
     # midpoint rule: each cell carries level * width mass
     assert jumps.total_rate == pytest.approx(0.5, rel=1e-14)
     assert jumps.locations[0, 0] == pytest.approx(0.625)
+
+
+# the bundled models, plus one with a density so that branch is reached too
+FUZZ_BASES = [json.loads(path.read_text()) for path in sorted(MODELS.glob("*.json"))]
+FUZZ_BASES.append(json.loads((MODELS / "merton_power.json").read_text()))
+FUZZ_BASES[-1]["Theta"]["vertices"][0]["jumps"] = {"density": {
+    "form": "linear", "level": 0.5, "slope": 0.1, "support": [0.5, 1.5], "grid_points": 4}}
+
+# integers stay small so grid_points, n_paths and dimension stay cheap
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 1000) | st.floats() | st.text(max_size=4),
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(st.text(max_size=6), children, max_size=3)),
+    max_leaves=8)
+
+
+def _paths(obj, prefix=()):
+    yield prefix
+    items = obj.items() if isinstance(obj, dict) else (
+        enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated_models(draw):
+    """A bundled model with the value at one path replaced by random JSON."""
+    model = copy.deepcopy(draw(st.sampled_from(FUZZ_BASES)))
+    path = draw(st.sampled_from(list(_paths(model))))
+    value = draw(JSON_VALUES)
+    if not path:
+        return value
+    target = model
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return model
+
+
+@seed(20261018)
+@settings(max_examples=200, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutated_models())
+def test_load_model_returns_a_spec_or_raises_an_rlp_error(tmp_path, model):
+    try:
+        spec = load_model(write_model(tmp_path, model))
+    except RlpError:
+        return
+    assert isinstance(spec, ProblemSpec)
 
 
 def test_report_roundtrips_through_json():

@@ -9,13 +9,10 @@ from rlp import (
     JumpMeasure,
     LevyTriplet,
     NegativeWealthError,
-    PathRecord,
     UtilitySpec,
     closed_form_expected_utility,
     martingale_check,
     mc_expected_utility,
-    sample_path,
-    terminal_wealth,
 )
 
 from helpers_instances import random_sim_instance
@@ -26,57 +23,6 @@ LOG = UtilitySpec.log_utility()
 def jump_diffusion(b=0.1, c=0.04, atoms=((0.5, (-0.1,)),)):
     return LevyTriplet(np.array([b]), np.array([[c]]),
                        JumpMeasure.from_atoms(list(atoms), dimension=1))
-
-
-def test_sample_path_is_reproducible():
-    t = jump_diffusion()
-    first = sample_path(t, 1.0, seed=42, index=7)
-    second = sample_path(t, 1.0, seed=42, index=7)
-    assert np.array_equal(first.brownian_terminal, second.brownian_terminal)
-    assert np.array_equal(first.jump_times, second.jump_times)
-    assert np.array_equal(first.jump_locations, second.jump_locations)
-    other = sample_path(t, 1.0, seed=42, index=8)
-    assert not np.array_equal(first.brownian_terminal, other.brownian_terminal)
-
-
-def test_sample_path_structure():
-    t = jump_diffusion(atoms=((2.0, (-0.1,)), (1.0, (0.3,))))
-    counts = []
-    for index in range(2000):
-        path = sample_path(t, 0.5, seed=3, index=index)
-        counts.append(len(path.jump_times))
-        assert np.all(np.diff(path.jump_times) >= 0.0)
-        assert np.all((path.jump_times >= 0.0) & (path.jump_times <= 0.5))
-        for z in path.jump_locations:
-            assert float(z[0]) in (-0.1, 0.3)
-    # mean jump count ~ Poisson(total_rate * horizon) = 1.5
-    mean = np.mean(counts)
-    assert abs(mean - 1.5) < 4.0 * math.sqrt(1.5 / 2000)
-
-
-def test_terminal_wealth_oracle():
-    t = jump_diffusion(b=0.1, c=0.04, atoms=((0.5, (-0.1,)),))
-    path = PathRecord(brownian_terminal=np.array([0.2]),
-                      jump_times=np.array([0.4]),
-                      jump_locations=np.array([[-0.1]]),
-                      horizon=1.0)
-    # drift compensated by rate * h(z) = -0.05, then the usual exponent
-    expected = 2.0 * math.exp((0.1 + 0.05) + 0.2 - 0.5 * 0.04) * 0.9
-    w = terminal_wealth(path, t, np.array([1.0]), x0=2.0)
-    assert w == pytest.approx(expected, rel=1e-14)
-
-
-def test_terminal_wealth_zero_factor_is_exact_ruin():
-    t = jump_diffusion(atoms=((0.5, (-1.0,)),))
-    path = PathRecord(np.array([0.0]), np.array([0.5]), np.array([[-1.0]]), 1.0)
-    assert terminal_wealth(path, t, np.array([1.0]), x0=1.0) == 0.0
-
-
-def test_terminal_wealth_refuses_negative_factors():
-    t = jump_diffusion(atoms=((0.5, (-1.5,)),))
-    path = PathRecord(np.array([0.0]), np.array([0.5]), np.array([[-1.5]]), 1.0)
-    with pytest.raises(NegativeWealthError):
-        terminal_wealth(path, t, np.array([1.0]), x0=1.0)
 
 
 def test_mc_agrees_with_closed_form():
@@ -112,6 +58,13 @@ def test_ruin_paths_flag_minus_infinity():
     est = mc_expected_utility(t, np.array([1.0]), LOG, 1.0, 1.0, 500, 4)
     assert est.minus_inf
     assert est.mean == -math.inf
+
+
+def test_negative_jump_factors_are_refused():
+    # 1 + pi z = -0.5 < 0 at the atom: wealth would turn negative
+    t = jump_diffusion(b=0.0, c=0.01, atoms=((5.0, (-1.5,)),))
+    with pytest.raises(NegativeWealthError):
+        mc_expected_utility(t, np.array([1.0]), LOG, 1.0, 1.0, 500, 4)
 
 
 def test_closed_form_matches_the_growth_formula():
