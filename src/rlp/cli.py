@@ -38,9 +38,6 @@ from .simulator import (
     mc_expected_utility,
 )
 
-COMMANDS = ("validate", "solve", "saddle", "simulate", "verify")
-
-
 class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage errors exit 1, keeping exit code 2 for
     certified failures."""
@@ -69,15 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="rlp", description="Robust constant-proportion "
                      "portfolios under model uncertainty.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    helps = {
-        "validate": "check a model file and report kappa and compactness",
-        "solve": "maximize the worst-case growth rate",
-        "saddle": "solve and certify a saddle point",
-        "simulate": "Monte Carlo expected utility against the closed form",
-        "verify": "run every oracle check at the solved saddle",
-    }
-    for name in COMMANDS:
-        p = sub.add_parser(name, help=helps[name], parents=[], add_help=True)
+    for name, (help_text, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--model", required=True, help="path to the JSON model file")
         p.add_argument("--pi", type=_checked(lambda t: [float(v) for v in t.split(",")],
                                              lambda pi: all(map(math.isfinite, pi)),
@@ -252,21 +242,20 @@ def _cmd_verify(spec: ProblemSpec, flags: argparse.Namespace) -> tuple[dict, int
     return results, 0 if passed else 2, provenance
 
 
-_DISPATCH = {
-    "validate": _cmd_validate,
-    "solve": _cmd_solve,
-    "saddle": _cmd_saddle,
-    "simulate": _cmd_simulate,
-    "verify": _cmd_verify,
+# Each subcommand's help line and handler, in the order the usage lists them.
+COMMANDS = {
+    "validate": ("check a model file and report kappa and compactness", _cmd_validate),
+    "solve": ("maximize the worst-case growth rate", _cmd_solve),
+    "saddle": ("solve and certify a saddle point", _cmd_saddle),
+    "simulate": ("Monte Carlo expected utility against the closed form", _cmd_simulate),
+    "verify": ("run every oracle check at the solved saddle", _cmd_verify),
 }
 
 
 def run_command(command: str, spec: ProblemSpec, flags: argparse.Namespace) -> Report:
     """Dispatch one subcommand against a loaded spec and wrap the result."""
-    if command not in _DISPATCH:
-        raise ValueError(f"unknown command '{command}'")
     started = time.perf_counter()
-    results, status, extra_provenance = _DISPATCH[command](spec, flags)
+    results, status, extra_provenance = COMMANDS[command][1](spec, flags)
     elapsed = time.perf_counter() - started
     return Report(
         command=command,

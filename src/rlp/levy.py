@@ -27,6 +27,10 @@ PSD_TOL = 1e-12
 # Corner enumeration cap for interval boxes: 2**k corners must stay below this.
 MAX_BOX_VERTICES = 4096
 
+# Cell cap for a discretized jump density: one atom, hence one natural
+# constraint, per cell.
+MAX_GRID_POINTS = 4096
+
 
 def _readonly(a) -> np.ndarray:
     out = np.array(a, dtype=float)
@@ -562,8 +566,8 @@ def discretize_density(density: Callable[[float], float],
         raise ValueError("support must be a nondegenerate interval")
     if a <= 0.0 <= b:
         raise SupportContainsZeroError(f"support [{a}, {b}] contains the origin")
-    if grid_points < 2:
-        raise ValueError("at least two grid points are required")
+    if not 2 <= grid_points <= MAX_GRID_POINTS:
+        raise ValueError(f"grid_points must lie in [2, {MAX_GRID_POINTS}]")
     width = (b - a) / grid_points
     centers = a + (np.arange(grid_points) + 0.5) * width
     levels = np.array([float(density(z)) for z in centers])

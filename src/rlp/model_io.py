@@ -78,6 +78,14 @@ def _require(condition: bool, message: str):
         raise SchemaError(message)
 
 
+def _fields(obj, where: str, allowed) -> dict:
+    """The JSON object obj, once every key of it is in allowed."""
+    _require(isinstance(obj, dict), f"'{where}' must be an object")
+    for key in obj:
+        _require(key in allowed, f"unknown key '{key}' in '{where}'")
+    return obj
+
+
 def _is_number(obj) -> bool:
     """A finite number that fits a float; Python's json also admits NaN and Infinity."""
     return (isinstance(obj, (int, float)) and not isinstance(obj, bool)
@@ -87,6 +95,12 @@ def _is_number(obj) -> bool:
 def _number(obj, name: str) -> float:
     _require(_is_number(obj), f"'{name}' must be a finite number")
     return float(obj)
+
+
+def _integer(obj, name: str) -> int:
+    _require(isinstance(obj, int) and not isinstance(obj, bool),
+             f"'{name}' must be an integer")
+    return obj
 
 
 def _vector(obj, name: str, length: int | None = None) -> np.ndarray:
@@ -110,49 +124,41 @@ def _matrix(obj, name: str, dimension: int) -> np.ndarray:
 
 
 def _parse_utility(obj) -> UtilitySpec:
-    _require(isinstance(obj, dict), "'utility' must be an object")
+    obj = _fields(obj, "utility", ("kind", "p", "epsilon"))
     kind = obj.get("kind")
     _require(kind in ("log", "power"), "'utility.kind' must be 'log' or 'power'")
     try:
         if kind == "log":
-            _require(obj.get("p", 0.0) in (0, 0.0), "log utility fixes p = 0")
+            _require(_number(obj.get("p", 0.0), "utility.p") == 0.0,
+                     "log utility fixes p = 0")
             return UtilitySpec.log_utility()
-        p = _number(obj.get("p"), "utility.p") if "p" in obj else None
-        _require(p is not None, "power utility requires 'utility.p'")
+        _require("p" in obj, "power utility requires 'utility.p'")
+        p = _number(obj["p"], "utility.p")
         epsilon = _number(obj.get("epsilon", 0.01), "utility.epsilon")
         return UtilitySpec.power_utility(p, epsilon)
     except ValueError as exc:
         raise ModelError(f"invalid utility: {exc}") from exc
 
 
-def _parse_jumps(obj, dimension: int, where: str) -> tuple[JumpMeasure, bool]:
-    """Returns the measure and whether it came from discretizing a density."""
+def _parse_jumps(obj, dimension: int, where: str) -> JumpMeasure:
     if obj is None:
-        return JumpMeasure.empty(dimension), False
-    _require(isinstance(obj, dict), f"'{where}' must be an object")
-    has_atoms = "atoms" in obj
-    has_density = "density" in obj
-    _require(has_atoms != has_density,
+        return JumpMeasure.empty(dimension)
+    obj = _fields(obj, where, ("atoms", "density"))
+    _require(("atoms" in obj) != ("density" in obj),
              f"'{where}' needs exactly one of 'atoms' or 'density'")
-    if has_atoms:
+    if "atoms" in obj:
         atoms = obj["atoms"]
         _require(isinstance(atoms, list), f"'{where}.atoms' must be a list")
         pairs = []
         for j, atom in enumerate(atoms):
-            _require(isinstance(atom, dict), f"'{where}.atoms[{j}]' must be an object")
-            for key in atom:
-                _require(key in ("rate", "location"),
-                         f"unknown key '{key}' in '{where}.atoms[{j}]'")
+            atom = _fields(atom, f"{where}.atoms[{j}]", ("rate", "location"))
             rate = _number(atom.get("rate"), f"{where}.atoms[{j}].rate")
             location = _vector(atom.get("location"), f"{where}.atoms[{j}].location",
                                dimension)
             pairs.append((rate, location))
-        return JumpMeasure.from_atoms(pairs, dimension=dimension), False
-    density = obj["density"]
-    _require(isinstance(density, dict), f"'{where}.density' must be an object")
-    for key in density:
-        _require(key in ("form", "level", "slope", "support", "grid_points"),
-                 f"unknown key '{key}' in '{where}.density'")
+        return JumpMeasure.from_atoms(pairs, dimension=dimension)
+    density = _fields(obj["density"], f"{where}.density",
+                      ("form", "level", "slope", "support", "grid_points"))
     _require(dimension == 1, "density-specified jumps require dimension 1")
     form = density.get("form", "constant")
     _require(form in ("constant", "linear"), f"'{where}.density.form' must be "
@@ -160,25 +166,19 @@ def _parse_jumps(obj, dimension: int, where: str) -> tuple[JumpMeasure, bool]:
     level = _number(density.get("level"), f"{where}.density.level")
     slope = _number(density.get("slope", 0.0), f"{where}.density.slope")
     support = _vector(density.get("support"), f"{where}.density.support", 2)
-    grid_points = density.get("grid_points", 16)
-    _require(isinstance(grid_points, int) and not isinstance(grid_points, bool),
-             f"'{where}.density.grid_points' must be an integer")
+    grid_points = _integer(density.get("grid_points", 16), f"{where}.density.grid_points")
     try:
-        measure = discretize_density(lambda z: level + slope * z,
-                                     (support[0], support[1]), grid_points)
+        return discretize_density(lambda z: level + slope * z,
+                                  (support[0], support[1]), grid_points)
     except ValueError as exc:
         raise ModelError(f"invalid '{where}.density': {exc}") from exc
-    return measure, True
 
 
-def _parse_triplet(obj, dimension: int, where: str) -> tuple[LevyTriplet, bool]:
-    _require(isinstance(obj, dict), f"'{where}' must be an object")
-    for key in obj:
-        _require(key in ("b", "c", "jumps"), f"unknown key '{key}' in '{where}'")
+def _parse_triplet(obj, dimension: int, where: str) -> LevyTriplet:
+    obj = _fields(obj, where, ("b", "c", "jumps"))
     b = _vector(obj.get("b"), f"{where}.b", dimension)
     c = _matrix(obj.get("c"), f"{where}.c", dimension)
-    jumps, discretized = _parse_jumps(obj.get("jumps"), dimension, f"{where}.jumps")
-    return LevyTriplet(b, c, jumps), discretized
+    return LevyTriplet(b, c, _parse_jumps(obj.get("jumps"), dimension, f"{where}.jumps"))
 
 
 def _parse_interval(obj, name: str) -> tuple[float, float]:
@@ -187,32 +187,21 @@ def _parse_interval(obj, name: str) -> tuple[float, float]:
     return float(pair[0]), float(pair[1])
 
 
-def _parse_theta(obj, dimension: int) -> tuple[UncertaintySet, bool]:
-    _require(isinstance(obj, dict), "'Theta' must be an object")
-    has_vertices = "vertices" in obj
-    has_box = "box" in obj
-    _require(has_vertices != has_box, "'Theta' needs exactly one of 'vertices' or 'box'")
-    if has_vertices:
+def _parse_theta(obj, dimension: int) -> UncertaintySet:
+    obj = _fields(obj, "Theta", ("vertices", "box"))
+    _require(("vertices" in obj) != ("box" in obj),
+             "'Theta' needs exactly one of 'vertices' or 'box'")
+    if "vertices" in obj:
         vertices = obj["vertices"]
         _require(isinstance(vertices, list) and vertices,
                  "'Theta.vertices' must be a nonempty list")
-        parsed = []
-        discretized = False
-        for i, vertex in enumerate(vertices):
-            triplet, used_density = _parse_triplet(vertex, dimension, f"Theta.vertices[{i}]")
-            discretized = discretized or used_density
-            parsed.append(triplet)
-        return UncertaintySet(tuple(parsed)), discretized
-    box = obj["box"]
-    _require(isinstance(box, dict), "'Theta.box' must be an object")
-    for key in box:
-        _require(key in ("b", "c_scale", "c_base", "atoms"),
-                 f"unknown key '{key}' in 'Theta.box'")
+        return UncertaintySet(tuple(_parse_triplet(vertex, dimension, f"Theta.vertices[{i}]")
+                                    for i, vertex in enumerate(vertices)))
+    box = _fields(obj["box"], "Theta.box", ("b", "c_scale", "c_base", "atoms"))
     b_rows = box.get("b")
     _require(isinstance(b_rows, list) and len(b_rows) == dimension,
              "'Theta.box.b' must list one interval per coordinate")
-    b_intervals = np.array([_parse_interval(row, f"Theta.box.b[{i}]")
-                            for i, row in enumerate(b_rows)])
+    b_intervals = [_parse_interval(row, f"Theta.box.b[{i}]") for i, row in enumerate(b_rows)]
     c_scale = _parse_interval(box.get("c_scale", [1.0, 1.0]), "Theta.box.c_scale")
     c_base = (np.eye(dimension) if box.get("c_base") is None
               else _matrix(box["c_base"], "Theta.box.c_base", dimension))
@@ -220,10 +209,7 @@ def _parse_theta(obj, dimension: int) -> tuple[UncertaintySet, bool]:
     _require(isinstance(atoms, list), "'Theta.box.atoms' must be a list")
     locations, rate_intervals = [], []
     for j, atom in enumerate(atoms):
-        _require(isinstance(atom, dict), f"'Theta.box.atoms[{j}]' must be an object")
-        for key in atom:
-            _require(key in ("rate", "location"),
-                     f"unknown key '{key}' in 'Theta.box.atoms[{j}]'")
+        atom = _fields(atom, f"Theta.box.atoms[{j}]", ("rate", "location"))
         locations.append(_vector(atom.get("location"),
                                  f"Theta.box.atoms[{j}].location", dimension))
         rate = _parse_interval(atom.get("rate"), f"Theta.box.atoms[{j}].rate")
@@ -231,21 +217,16 @@ def _parse_theta(obj, dimension: int) -> tuple[UncertaintySet, bool]:
             raise ModelError(f"'Theta.box.atoms[{j}].rate' must not go below 0 "
                              "(a zero lower endpoint drops the atom)")
         rate_intervals.append(rate)
-    compiled = compile_box_to_vertices(UncertaintyBox(
+    return compile_box_to_vertices(UncertaintyBox(
         b_intervals=b_intervals, c_scale=c_scale, c_base=c_base,
-        atom_locations=np.array(locations) if locations else np.zeros((0, dimension)),
-        rate_intervals=np.array(rate_intervals) if rate_intervals else np.zeros((0, 2)),
-    ))
-    return compiled, False
+        atom_locations=locations, rate_intervals=rate_intervals))
 
 
 def _parse_constraints(obj, dimension: int) -> Polyhedron:
-    if obj is None:
-        return Polyhedron.whole_space(dimension)
-    _require(isinstance(obj, dict), "'C' must be an object")
-    for key in obj:
-        _require(key in ("box", "halfspaces"), f"unknown key '{key}' in 'C'")
     poly = Polyhedron.whole_space(dimension)
+    if obj is None:
+        return poly
+    obj = _fields(obj, "C", ("box", "halfspaces"))
     if "box" in obj:
         rows = obj["box"]
         _require(isinstance(rows, list) and len(rows) == dimension,
@@ -265,10 +246,7 @@ def _parse_constraints(obj, dimension: int) -> Polyhedron:
         _require(isinstance(rows, list), "'C.halfspaces' must be a list")
         pairs = []
         for i, row in enumerate(rows):
-            _require(isinstance(row, dict), f"'C.halfspaces[{i}]' must be an object")
-            for key in row:
-                _require(key in ("normal", "offset"),
-                         f"unknown key '{key}' in 'C.halfspaces[{i}]'")
+            row = _fields(row, f"C.halfspaces[{i}]", ("normal", "offset"))
             normal = _vector(row.get("normal"), f"C.halfspaces[{i}].normal", dimension)
             offset = _number(row.get("offset"), f"C.halfspaces[{i}].offset")
             pairs.append((normal, offset))
@@ -283,21 +261,12 @@ def _parse_solver(obj) -> tuple[SolveOptions, dict]:
     The resolved form also keeps the inert keys (validated, part of the
     digest, without effect on any solve).
     """
-    obj = {} if obj is None else obj
-    _require(isinstance(obj, dict), "'solver' must be an object")
-    for key in obj:
-        _require(key in ("value_tol", "y_tol", "shrink_schedule", *_INERT_SOLVER_KEYS),
-                 f"unknown key '{key}' in 'solver'")
-    kwargs = {}
-    for key in ("value_tol", "y_tol"):
-        if key in obj:
-            kwargs[key] = _number(obj[key], f"solver.{key}")
-    inert = dict(_INERT_SOLVER_KEYS)
-    for key in inert:
-        if key in obj:
-            _require(isinstance(obj[key], int) and not isinstance(obj[key], bool),
-                     f"'solver.{key}' must be an integer")
-            inert[key] = obj[key]
+    obj = _fields({} if obj is None else obj, "solver",
+                  ("value_tol", "y_tol", "shrink_schedule", *_INERT_SOLVER_KEYS))
+    kwargs = {key: _number(obj[key], f"solver.{key}")
+              for key in ("value_tol", "y_tol") if key in obj}
+    inert = {key: _integer(obj.get(key, default), f"solver.{key}")
+             for key, default in _INERT_SOLVER_KEYS.items()}
     if "shrink_schedule" in obj:
         schedule = obj["shrink_schedule"]
         _require(isinstance(schedule, list) and all(
@@ -316,19 +285,10 @@ def _parse_solver(obj) -> tuple[SolveOptions, dict]:
 
 
 def _parse_simulation(obj) -> SimulationOptions:
-    if obj is None:
-        return SimulationOptions()
-    _require(isinstance(obj, dict), "'simulation' must be an object")
-    for key in obj:
-        _require(key in ("n_paths", "seed"), f"unknown key '{key}' in 'simulation'")
-    kwargs = {}
-    for key in ("n_paths", "seed"):
-        if key in obj:
-            _require(isinstance(obj[key], int) and not isinstance(obj[key], bool),
-                     f"'simulation.{key}' must be an integer")
-            kwargs[key] = obj[key]
+    obj = _fields({} if obj is None else obj, "simulation", ("n_paths", "seed"))
     try:
-        return SimulationOptions(**kwargs)
+        return SimulationOptions(**{key: _integer(value, f"simulation.{key}")
+                                    for key, value in obj.items()})
     except ValueError as exc:
         raise ModelError(f"invalid simulation options: {exc}") from exc
 
@@ -386,7 +346,7 @@ def load_model(path: str) -> ProblemSpec:
     x0 = _number(raw["x0"], "x0")
     if x0 <= 0.0:
         raise ModelError("the initial capital x0 must be positive")
-    theta, discretized = _parse_theta(raw["Theta"], dimension)
+    theta = _parse_theta(raw["Theta"], dimension)
     constraints = _parse_constraints(raw.get("C"), dimension)
     solver, resolved_solver = _parse_solver(raw.get("solver"))
     simulation = _parse_simulation(raw.get("simulation"))
@@ -403,9 +363,7 @@ def load_model(path: str) -> ProblemSpec:
                          "constraints leaves an unbounded direction")
     if not np.isfinite(kappa):
         raise ModelError("the characteristics bound kappa is not finite")
-    provenance = []
-    if discretized:
-        provenance.append("density_discretized")
+    discretized = any(v.jumps.approximate for v in theta.vertices)
     resolved = _resolved_dict(dimension, utility, horizon, x0, constraints, theta,
                               resolved_solver, simulation)
     digest = hashlib.sha256(canonical_json(resolved).encode("utf-8")).hexdigest()
@@ -413,7 +371,8 @@ def load_model(path: str) -> ProblemSpec:
         dimension=dimension, utility=utility, horizon=horizon, x0=x0,
         constraints=constraints, theta=theta, solver=solver, simulation=simulation,
         feasible=feasible, compact=compact, kappa=kappa,
-        provenance=tuple(provenance), digest=digest, resolved=resolved)
+        provenance=("density_discretized",) if discretized else (), digest=digest,
+        resolved=resolved)
 
 
 def canonical_json(obj) -> str:

@@ -66,15 +66,10 @@ class SolveOptions:
 
 @dataclass(frozen=True, eq=False)
 class Solution:
-    """Robust maximizer, its worst-case growth rate, and solve diagnostics.
-
-    ``value`` is the expected-utility value at unit capital and unit horizon;
-    rescale with :func:`problem_value` for other capital or horizons.
-    """
+    """Robust maximizer, its worst-case growth rate, and solve diagnostics."""
 
     y_hat: np.ndarray
     robust_g: float
-    value: float
     worst_vertex_weights: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
@@ -330,9 +325,8 @@ def maximize_robust(theta: UncertaintySet, feasible: Polyhedron, utility: Utilit
     _, worst_idx = model.robust(y)
     weights = np.zeros(model.k)
     weights[worst_idx] = 1.0
-    return Solution(y_hat=y, robust_g=value,
-                    value=problem_value(value, utility, 1.0, 1.0),
-                    worst_vertex_weights=weights, diagnostics=diagnostics)
+    return Solution(y_hat=y, robust_g=value, worst_vertex_weights=weights,
+                    diagnostics=diagnostics)
 
 
 def _stationarity_weights(model: GrowthModel, poly: Polyhedron, y: np.ndarray,

@@ -254,13 +254,23 @@ def box_model(**box) -> dict:
     return model
 
 
+def log_model(**utility) -> dict:
+    model = json.loads(Path(BOX).read_text())
+    model["utility"].update(utility)
+    return model
+
+
 @pytest.mark.parametrize("model, code, where", [
     (box_model(c_base=True), "SchemaError", "Theta.box.c_base"),
     (density_model(grid_points=1), "ModelError", "Theta.vertices[0].jumps.density"),
+    (density_model(grid_points=4097), "ModelError", "Theta.vertices[0].jumps.density"),
     (density_model(support=[1.5, 0.5]), "ModelError", "Theta.vertices[0].jumps.density"),
     # level + slope z is -0.1375 at the first cell midpoint, z = 0.625
     (density_model(level=-0.2), "ModelError", "Theta.vertices[0].jumps.density"),
-], ids=["bool-c-base", "one-grid-point", "reversed-support", "negative-density"])
+    (log_model(p=False), "SchemaError", "utility.p"),
+    (log_model(zz=1), "SchemaError", "unknown key 'zz' in 'utility'"),
+], ids=["bool-c-base", "one-grid-point", "too-many-grid-points", "reversed-support",
+        "negative-density", "bool-log-p", "unknown-utility-key"])
 def test_malformed_models_exit_1_with_an_error_report(capsys, tmp_path, model, code, where):
     status = main(["validate", "--model", write_model(tmp_path, json.dumps(model))])
     captured = capsys.readouterr()

@@ -233,6 +233,27 @@ def _paths(obj, prefix=()):
         yield from _paths(value, prefix + (key,))
 
 
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+def test_every_model_object_rejects_unknown_keys(tmp_path):
+    checked = 0
+    for base in FUZZ_BASES:
+        for path in _paths(base):
+            model = copy.deepcopy(base)
+            target = _at(model, path)
+            if not isinstance(target, dict):
+                continue
+            target["zz"] = 1
+            with pytest.raises(SchemaError, match="unknown"):
+                load_model(write_model(tmp_path, model))
+            checked += 1
+    assert checked >= 42
+
+
 @st.composite
 def mutated_models(draw):
     """A bundled model with the value at one path replaced by random JSON."""
@@ -241,10 +262,7 @@ def mutated_models(draw):
     value = draw(JSON_VALUES)
     if not path:
         return value
-    target = model
-    for key in path[:-1]:
-        target = target[key]
-    target[path[-1]] = value
+    _at(model, path[:-1])[path[-1]] = value
     return model
 
 
