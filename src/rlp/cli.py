@@ -15,6 +15,7 @@ completed but failed certification or an oracle check.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -62,7 +63,9 @@ def _checked(convert, accept, expected: str):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = _Parser(prog="rlp", description="Robust constant-proportion "
                      "portfolios under model uncertainty.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
@@ -112,6 +115,7 @@ def _certificate_results(certificate: SaddleCertificate, certified: bool) -> dic
     return {
         "y_hat": [float(v) for v in certificate.y_hat],
         "theta_hat_weights": [float(w) for w in certificate.theta_hat_weights],
+        "face_multipliers": [float(v) for v in certificate.face_multipliers],
         "value": float(certificate.value),
         "residual_max_y": float(certificate.residual_max_y),
         "residual_min_theta": float(certificate.residual_min_theta),

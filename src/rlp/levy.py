@@ -24,6 +24,9 @@ from .errors import (
 # Diffusion eigenvalues are accepted down to this level and clamped to zero.
 PSD_TOL = 1e-12
 
+# Largest entrywise asymmetry |c - c^T| a diffusion matrix may have.
+SYMMETRY_TOL = 1e-9
+
 # Corner enumeration cap for interval boxes: 2**k corners must stay below this.
 MAX_BOX_VERTICES = 4096
 
@@ -36,6 +39,13 @@ def _readonly(a) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.setflags(write=False)
     return out
+
+
+def _is_symmetric(c: np.ndarray) -> bool:
+    """Entrywise |c - c^T| <= SYMMETRY_TOL for a square c. A non-finite entry
+    makes it False, where np.allclose would call equal infinities close."""
+    with np.errstate(invalid="ignore"):
+        return bool(np.abs(c - c.T).max() <= SYMMETRY_TOL)
 
 
 def truncation(z: np.ndarray) -> np.ndarray:
@@ -128,7 +138,7 @@ class LevyTriplet:
         c = np.asarray(self.c, dtype=float)
         if c.ndim == 0:
             c = c.reshape(1, 1)
-        if c.shape == (d, d) and np.allclose(c, c.T, rtol=0.0, atol=1e-9):
+        if c.shape == (d, d) and _is_symmetric(c):
             sym = (c + c.T) / 2.0
             w, v = np.linalg.eigh(sym)
             if w.min() >= -PSD_TOL and w.min() < 0.0:
@@ -158,7 +168,7 @@ def validate_triplet(triplet: LevyTriplet) -> list[str]:
     if not np.all(np.isfinite(c)):
         msgs.append("diffusion matrix has non-finite entries")
         return msgs
-    if not np.allclose(c, c.T, rtol=0.0, atol=1e-9):
+    if not _is_symmetric(c):
         msgs.append("diffusion matrix is not symmetric")
     else:
         w = np.linalg.eigvalsh((c + c.T) / 2.0)

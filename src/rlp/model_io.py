@@ -131,6 +131,8 @@ def _parse_utility(obj) -> UtilitySpec:
         if kind == "log":
             _require(_number(obj.get("p", 0.0), "utility.p") == 0.0,
                      "log utility fixes p = 0")
+            # checked although only a fractional power reads it
+            _number(obj.get("epsilon", 0.01), "utility.epsilon")
             return UtilitySpec.log_utility()
         _require("p" in obj, "power utility requires 'utility.p'")
         p = _number(obj["p"], "utility.p")

@@ -3,17 +3,16 @@
 The solver maximizes the worst-case growth rate (a concave function of the
 strategy) over the compact intersection of the user constraints with the
 no-bankruptcy halfspaces. Multidimensional problems run one smooth epigraph
-solve (SLSQP) at each of the two most tightened levels of the shrink
-schedule; one-dimensional problems use golden-section search directly.
+solve (SLSQP) on the most tightened level of the shrink schedule, and a
+second on the level before it only when the first maximizer leaves that
+level's set; one-dimensional problems use golden-section search directly.
 :func:`optimality_residual` gives a strategy's first-order residual, which
 the ``solve`` report carries for multidimensional problems. The saddle's
-mixture on the uncertainty simplex comes from a stationarity LP at the
-maximizer; the best response to it and the worst vertex value at the
-maximizer bracket the game value, and the bracket certifies the pair.
-:func:`mixture_min` solves the mixture player's side by Kelley's cutting
-planes and brackets its value the same way. Every multidimensional solve,
-robust or a best response to one triplet, is the same SLSQP epigraph
-problem; a best response is its one-vertex case.
+mixture on the uncertainty simplex and its face multipliers come from a
+stationarity LP at the maximizer. Concavity turns them into an upper bound
+on the game value by arithmetic alone (:func:`_dual_bound`); with the worst
+vertex value at the maximizer as the lower bound, the bracket certifies the
+pair.
 """
 
 from __future__ import annotations
@@ -31,18 +30,9 @@ from .errors import (
     SaddleNotCertifiedError,
 )
 from .growth import GrowthModel
-from .levy import (
-    LevyTriplet,
-    Polyhedron,
-    UncertaintySet,
-    UtilitySpec,
-    natural_constraints,
-)
+from .levy import Polyhedron, UncertaintySet, UtilitySpec, natural_constraints
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-# Kelley's cutting planes stop on this relative bracket width, or this many cuts.
-_KELLEY_RTOL = 1e-7
-_KELLEY_MAX_CUTS = 60
 
 
 @dataclass(frozen=True)
@@ -78,17 +68,22 @@ class Solution:
 class SaddleCertificate:
     """Candidate saddle point with its three residual checks.
 
+    face_multipliers
+        One nonnegative multiplier per halfspace of the feasible polytope,
+        zero on the inactive ones; with the weights they make the dual bound.
     residual_max_y
-        How far the mixture is from making y_hat a global maximizer.
+        How far the mixture is from making y_hat a global maximizer: the
+        dual bound minus the mixture's value at y_hat.
     residual_min_theta
         How far y_hat is from making the mixture a worst case.
     gap
-        Width of the value bracket: the mixture's best response value (an
-        upper bound) minus the worst vertex value at y_hat (a lower bound).
+        Width of the value bracket: the dual bound (an upper bound) minus the
+        worst vertex value at y_hat (a lower bound).
     """
 
     y_hat: np.ndarray
     theta_hat_weights: np.ndarray
+    face_multipliers: np.ndarray
     value: float
     residual_max_y: float
     residual_min_theta: float
@@ -189,8 +184,7 @@ def _slsqp_max(model: GrowthModel, region: FeasibleRegion, y0: np.ndarray,
                floor: float) -> tuple[np.ndarray, OptimizeResult]:
     """Smooth epigraph solve from y0: maximize t over (y, t) subject to
     G_j(y) >= t for each vertex's smoothed growth rate G_j, and y in the
-    region. With one vertex (a best response) this is the maximization of
-    G_1 itself.
+    region. With one vertex this is the maximization of G_1 itself.
 
     Returns the solution, scaled back into the region when SLSQP ends just
     outside it, and the raw SLSQP result.
@@ -235,48 +229,24 @@ def _slsqp_max(model: GrowthModel, region: FeasibleRegion, y0: np.ndarray,
     return region.project(res.x[:d]), res
 
 
-def _single_max(triplet: LevyTriplet, region: FeasibleRegion, utility: UtilitySpec,
-                y0: np.ndarray | None = None,
-                floor: float = -1.0 + 0.5 / 1024) -> tuple[np.ndarray, float]:
-    """Maximize one triplet's growth rate over the region.
-
-    The growth rate is concave in the strategy, so one local solve is global:
-    golden-section search in one dimension, otherwise one SLSQP solve from y0
-    (the origin when y0 is None).
-    """
-    model = GrowthModel(UncertaintySet((triplet,)), utility)
-    if region.d == 1:
-        lo, hi = region.interval
-        x, value = golden_max(lambda t: model.robust_value(np.array([t])), lo, hi)
-        return np.array([x]), value
-    start = np.zeros(region.d) if y0 is None else y0
-    y, _ = _slsqp_max(model, region, start, floor)
-    return y, model.robust_value(y)
-
-
-def _response_region(theta: UncertaintySet, feasible: Polyhedron,
-                     n_last: int) -> tuple[FeasibleRegion, float]:
-    """Region and smoothing floor for best responses: the final shrink level
-    in several dimensions, the untightened polytope in one."""
-    if feasible.dimension > 1:
-        feasible = feasible.intersect(natural_constraints(theta, n_last))
-    return FeasibleRegion(feasible), -1.0 + 0.5 / n_last
-
-
 def maximize_robust(theta: UncertaintySet, feasible: Polyhedron, utility: UtilitySpec,
                     opts: SolveOptions | None = None) -> Solution:
     """Maximize the worst-case growth rate over the feasible polytope.
 
     One-dimensional problems are solved by golden-section search on the
     concave worst-case envelope. Otherwise one smooth epigraph solve (SLSQP)
-    runs from the origin at each of the final two shrink levels; earlier
-    levels are subsets of the last one and could only lose to it. The
-    diagnostics record each solved level's value, SLSQP status and iteration
-    count; the first-order residual of the returned strategy is left to
-    :func:`optimality_residual`, which the ``solve`` report adds. Raises
-    DidNotConvergeError when the value still moves by more than value_tol
-    across the final two levels, and NotCompactError when the feasible set
-    is unbounded.
+    runs from the origin on the final shrink level. When its maximizer also
+    satisfies the previous level's halfspaces, that level, a subset holding
+    the maximizer, has the same optimum, so it is listed in the diagnostics
+    as ``implied`` with no solve and zero drift. Otherwise the previous level
+    is solved too, the better of the two strategies is kept (ties to the
+    previous level), and DidNotConvergeError is raised when the two values
+    differ by more than value_tol. Earlier levels are subsets of these and
+    could only lose. The diagnostics record each solved level's value,
+    SLSQP status and iteration count; the first-order residual of the
+    returned strategy is left to :func:`optimality_residual`, which the
+    ``solve`` report adds. Raises NotCompactError when the feasible set is
+    unbounded.
     """
     opts = opts or SolveOptions()
     model = GrowthModel(theta, utility)
@@ -293,31 +263,25 @@ def maximize_robust(theta: UncertaintySet, feasible: Polyhedron, utility: Utilit
     else:
         floor = -1.0 + 0.5 / opts.shrink_schedule[-1]
         levels: list[dict] = []
-        level_values: list[float] = []
-        best_y, best_v = None, -math.inf
-        previous_signature = None
-        for n in opts.shrink_schedule[-2:]:
+        implied: list[int] = []
+        y, value = None, -math.inf
+        for n in reversed(opts.shrink_schedule[-2:]):
             shrunk = feasible.intersect(natural_constraints(theta, n))
-            signature = shrunk.normals.tobytes() + shrunk.offsets.tobytes()
-            if signature == previous_signature:
-                level_values.append(level_values[-1])
+            if y is not None and shrunk.contains(y, tol=0.0):
+                implied.append(n)
                 continue
-            previous_signature = signature
             level_y, res = _slsqp_max(model, FeasibleRegion(shrunk), np.zeros(region.d), floor)
             level_v = model.robust_value(level_y)
             levels.append({"n": n, "value": float(level_v), "status": int(res.status),
                            "nit": int(res.nit)})
-            level_values.append(level_v)
-            if level_v > best_v:
-                best_y, best_v = level_y, level_v
-        if len(level_values) >= 2:
-            drift = abs(level_values[-1] - level_values[-2])
-            if drift > opts.value_tol:
+            if y is not None and abs(level_v - value) > opts.value_tol:
                 raise DidNotConvergeError(
-                    f"value still moved by {drift:.3e} across the final shrink levels")
-        y, value = best_y, best_v
+                    f"value still moved by {abs(level_v - value):.3e} across the final "
+                    "shrink levels")
+            if level_v >= value:
+                y, value = level_y, level_v
         diagnostics.update({"method": "slsqp-epigraph", "levels_run": len(levels),
-                            "levels": levels})
+                            "levels": levels, "implied": implied})
     if value <= 0.0:
         # The zero strategy is always feasible here and earns exactly 0.
         y = np.zeros(region.d)
@@ -330,28 +294,27 @@ def maximize_robust(theta: UncertaintySet, feasible: Polyhedron, utility: Utilit
 
 
 def _stationarity_weights(model: GrowthModel, poly: Polyhedron, y: np.ndarray,
-                          gvals: np.ndarray, atol: float) -> tuple[float, np.ndarray]:
+                          gvals: np.ndarray, atol: float) -> tuple[float, np.ndarray, np.ndarray]:
     """LP check that some active-vertex mixture gradient lies in the normal cone.
 
-    Returns the best achievable infinity-norm residual and the mixture.
+    Returns the best achievable infinity-norm residual, the mixture, and the
+    face multipliers (one per row of poly, zero on the inactive rows).
     """
     k = model.k
     gmin = float(np.min(gvals))
     fallback = np.zeros(k)
     fallback[int(np.argmin(gvals))] = 1.0
+    multipliers = np.zeros(poly.m)
     if not math.isfinite(gmin):
-        return math.inf, fallback
+        return math.inf, fallback, multipliers
     active_v = np.flatnonzero(gvals <= gmin + atol)
     try:
         grads = np.array([model.gradient(i, y) for i in active_v])
     except AtSingularityError:
-        return math.inf, fallback
-    if poly.m:
-        slack = poly.offsets - poly.normals @ y
-        active_f = np.flatnonzero(np.abs(slack) <= 1e-8 * (1.0 + np.abs(poly.offsets)))
-        normals = poly.normals[active_f]
-    else:
-        normals = np.zeros((0, model.d))
+        return math.inf, fallback, multipliers
+    slack = poly.offsets - poly.normals @ y
+    active_f = np.flatnonzero(np.abs(slack) <= 1e-8 * (1.0 + np.abs(poly.offsets)))
+    normals = poly.normals[active_f]
     na, nf, d = len(active_v), len(normals), model.d
     # Variables: mixture weights, face multipliers, residual bound t.
     cost = np.zeros(na + nf + 1)
@@ -368,13 +331,43 @@ def _stationarity_weights(model: GrowthModel, poly: Polyhedron, y: np.ndarray,
     res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],
                   bounds=[(0.0, None)] * (na + nf + 1), method="highs")
     if res.status != 0:
-        return math.inf, fallback
+        return math.inf, fallback, multipliers
     weights = np.zeros(k)
     weights[active_v] = np.clip(res.x[:na], 0.0, None)
     total = weights.sum()
     if total <= 0.0:
-        return math.inf, fallback
-    return float(res.x[-1]), weights / total
+        return math.inf, fallback, multipliers
+    multipliers[active_f] = np.clip(res.x[na:na + nf], 0.0, None) / total
+    return float(res.x[-1]), weights / total, multipliers
+
+
+def _dual_bound(model: GrowthModel, feasible: Polyhedron, y: np.ndarray,
+                gvals: np.ndarray, weights: np.ndarray, multipliers: np.ndarray) -> float:
+    """Upper bound on the game value over the feasible polytope {x : N x <= o}
+    from a mixture w and face multipliers lam >= 0, by arithmetic alone.
+
+    Each vertex growth rate is concave, so the mixture f = sum_i w_i G_i lies
+    below its tangent plane at y, and for every feasible x
+
+        f(x) <= f(y) + lam . (o - N y) + ||g - N^T lam||_inf * ||x - y||_1,
+
+    where g is the gradient of f at y (weak duality, the linearization bound
+    behind the Frank-Wolfe duality gap). The last norm is at most
+    sum_j max(hi_j - y_j, y_j - lo_j) over the polytope's cached bounding
+    box, and the game value is at most the maximum of f. Returns inf when a
+    gradient of the mixture is singular at y or the bound is not finite.
+    """
+    support = np.flatnonzero(weights > 0.0)
+    try:
+        grads = np.array([model.gradient(i, y) for i in support])
+    except AtSingularityError:
+        return math.inf
+    residual = weights[support] @ grads - feasible.normals.T @ multipliers
+    slack = feasible.offsets - feasible.normals @ y
+    lo, hi = feasible.bounds
+    bound = (float(weights[support] @ gvals[support]) + float(multipliers @ slack)
+             + float(np.max(np.abs(residual))) * float(np.sum(np.maximum(hi - y, y - lo))))
+    return bound if math.isfinite(bound) else math.inf
 
 
 def optimality_residual(theta: UncertaintySet, feasible: Polyhedron, utility: UtilitySpec,
@@ -386,7 +379,7 @@ def optimality_residual(theta: UncertaintySet, feasible: Polyhedron, utility: Ut
     gvals = model.vertex_values(y)
     if atol is None:
         atol = 1e-7 * (1.0 + abs(float(np.min(gvals))))
-    residual, _ = _stationarity_weights(model, feasible, y, gvals, atol)
+    residual, _, _ = _stationarity_weights(model, feasible, y, gvals, atol)
     return residual
 
 
@@ -395,14 +388,15 @@ def find_saddle(theta: UncertaintySet, feasible: Polyhedron, utility: UtilitySpe
                 certify_tol: float | None = None) -> SaddleCertificate:
     """Solve for the strategy, then extract and certify a worst-case mixture.
 
-    The mixture is the one the stationarity LP finds at the maximizer: its
-    gradient lies in the normal cone of the polytope there. Vertices count as
-    active within a quarter of certify_tol, but never closer than the
-    solver's 1e-9 resolution (both relative to the worst value). The best
-    response to the mixture and the worst vertex value at the maximizer
-    bracket the game value; certification requires the bracket and both
-    residuals within certify_tol, which defaults to 10 * value_tol;
-    otherwise SaddleNotCertifiedError carries the candidate.
+    The mixture and the face multipliers are the ones the stationarity LP
+    finds at the maximizer: the mixture's gradient lies in the normal cone of
+    the polytope there. Vertices count as active within a quarter of
+    certify_tol, but never closer than the solver's 1e-9 resolution (both
+    relative to the worst value). The dual bound of the pair and the worst
+    vertex value at the maximizer bracket the game value; certification
+    requires the bracket and both residuals within certify_tol, which
+    defaults to 10 * value_tol; otherwise SaddleNotCertifiedError carries the
+    candidate.
     """
     opts = opts or SolveOptions()
     solution = maximize_robust(theta, feasible, utility, opts)
@@ -411,17 +405,16 @@ def find_saddle(theta: UncertaintySet, feasible: Polyhedron, utility: UtilitySpe
     gvals = model.vertex_values(y)
     gmin = float(np.min(gvals))
     tol_cert = 10.0 * opts.value_tol if certify_tol is None else float(certify_tol)
-    _, weights = _stationarity_weights(model, feasible, y, gvals,
-                                       atol=max(0.25 * tol_cert, 1e-9) * (1.0 + abs(gmin)))
+    _, weights, multipliers = _stationarity_weights(
+        model, feasible, y, gvals, atol=max(0.25 * tol_cert, 1e-9) * (1.0 + abs(gmin)))
     support = weights > 0.0
     value = float(weights[support] @ gvals[support])
-    inner_region, floor = _response_region(theta, feasible, opts.shrink_schedule[-1])
-    _, sup = _single_max(theta.mix(weights), inner_region, utility, y0=y, floor=floor)
+    bound = _dual_bound(model, feasible, y, gvals, weights, multipliers)
     certificate = SaddleCertificate(
-        y_hat=y, theta_hat_weights=weights, value=value,
-        residual_max_y=sup - value,
+        y_hat=y, theta_hat_weights=weights, face_multipliers=multipliers, value=value,
+        residual_max_y=bound - value,
         residual_min_theta=value - gmin,
-        gap=sup - solution.robust_g)
+        gap=bound - solution.robust_g)
     if certificate.passes(tol_cert):
         return certificate
     raise SaddleNotCertifiedError(
@@ -430,63 +423,35 @@ def find_saddle(theta: UncertaintySet, feasible: Polyhedron, utility: UtilitySpe
 
 def verify_saddle(theta: UncertaintySet, feasible: Polyhedron, utility: UtilitySpec,
                   candidate: SaddleCertificate, tol: float = 1e-6) -> tuple[bool, dict]:
-    """Recheck a saddle candidate by bracketing the game value.
+    """Recheck a saddle candidate by bracketing the game value from its own numbers.
 
-    ``max_y``, the best response to the candidate mixture (one concave
-    maximization on the default final shrink level, started from the
-    candidate strategy), is an upper bound on the value; ``min_theta``, the
-    worst vertex value at the candidate strategy, is a lower bound. The
-    candidate passes when both lie within tol of its value and the bracket
-    width ``gap`` = max_y - min_theta is within tol too.
+    ``max_y``, the dual bound of the candidate's mixture and face multipliers
+    at its strategy (see :func:`_dual_bound`), is an upper bound on the value;
+    ``min_theta``, the worst vertex value at the candidate strategy, is a
+    lower bound. The candidate passes when both lie within tol of its value
+    and the bracket width ``gap`` = max_y - min_theta is within tol too. The
+    bounds hold only for a strategy inside the feasible polytope, weights on
+    the simplex, and finite nonnegative multipliers, one per halfspace; a
+    candidate that breaks any of these fails with max_y = inf and min_theta
+    = -inf, and so does one whose mixture gradient is singular.
     """
     model = GrowthModel(theta, utility)
-    inner_region, floor = _response_region(theta, feasible, SolveOptions().shrink_schedule[-1])
-    mixed = theta.mix(candidate.theta_hat_weights)
-    _, sup_mixture = _single_max(mixed, inner_region, utility, y0=candidate.y_hat,
-                                 floor=floor)
-    worst_at_y = float(np.min(model.vertex_values(candidate.y_hat)))
-    checks = {"max_y": sup_mixture, "min_theta": worst_at_y}
+    y = np.asarray(candidate.y_hat, dtype=float)
+    weights = np.asarray(candidate.theta_hat_weights, dtype=float)
+    multipliers = np.asarray(candidate.face_multipliers, dtype=float)
+    sound = (y.shape == (model.d,) and np.all(np.isfinite(y))
+             and feasible.contains(y, tol=0.0)
+             and weights.shape == (model.k,) and np.all(weights >= 0.0)
+             and abs(weights.sum() - 1.0) <= 1e-12
+             and multipliers.shape == (feasible.m,) and np.all(np.isfinite(multipliers))
+             and np.all(multipliers >= 0.0))
+    max_y, min_theta = math.inf, -math.inf
+    if sound:
+        gvals = model.vertex_values(y)
+        max_y = _dual_bound(model, feasible, y, gvals, weights, multipliers)
+        min_theta = float(np.min(gvals))
+    checks = {"max_y": max_y, "min_theta": min_theta}
     residuals = {name: abs(value - candidate.value) for name, value in checks.items()}
-    residuals["gap"] = sup_mixture - worst_at_y
+    residuals["gap"] = max_y - min_theta
     ok = all(abs(r) <= tol for r in residuals.values())
     return ok, {"checks": checks, "residuals": residuals, "tolerance": tol}
-
-
-def mixture_min(theta: UncertaintySet, feasible: Polyhedron,
-                utility: UtilitySpec) -> tuple[float, float, np.ndarray]:
-    """Bracket min over mixtures w of max over y of sum_i w_i G_i(y) by
-    Kelley's cutting planes; return (lower, upper, weights).
-
-    That function of w is convex, and a best response y_w to any mixture
-    gives the cut w' -> sum_i w'_i G_i(y_w) below it. From uniform weights,
-    each round runs one best response on the final shrink level (warm-started
-    from the last), adds its cut and solves the master LP min t subject to
-    cut_j . w <= t over the simplex: its optimum is the lower bound and its
-    argmin the next mixture. The smallest best-response value is the upper
-    bound, and weights the mixture that reached it. Stops when the bracket is
-    within 1e-7 (1 + |upper|) or after 60 cuts.
-    """
-    k = len(theta.vertices)
-    model = GrowthModel(theta, utility)
-    region, floor = _response_region(theta, feasible, SolveOptions().shrink_schedule[-1])
-    cost = np.append(np.zeros(k), 1.0)
-    a_eq = np.append(np.ones(k), 0.0)[None, :]
-    bounds = [(0.0, None)] * k + [(None, None)]
-    weights = np.full(k, 1.0 / k)
-    lower, upper, best, y = -math.inf, math.inf, weights, None
-    cuts: list[np.ndarray] = []
-    while len(cuts) < _KELLEY_MAX_CUTS:
-        y, value = _single_max(theta.mix(weights), region, utility, y0=y, floor=floor)
-        if value < upper:
-            upper, best = value, weights
-        if k == 1:
-            return value, value, weights
-        cuts.append(np.append(model.vertex_values(y), -1.0))
-        res = linprog(cost, A_ub=np.array(cuts), b_ub=np.zeros(len(cuts)),
-                      A_eq=a_eq, b_eq=[1.0], bounds=bounds, method="highs")
-        lower = float(res.fun)
-        weights = np.clip(res.x[:k], 0.0, None)
-        weights /= weights.sum()
-        if upper - lower <= _KELLEY_RTOL * (1.0 + abs(upper)):
-            break
-    return lower, upper, best

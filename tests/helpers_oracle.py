@@ -1,0 +1,98 @@
+"""Independent minimax oracle: best responses and Kelley's cutting planes.
+
+The library certifies a saddle by a dual bound at its own solution. These
+helpers solve the mixture player's side of the game separately, by repeated
+best responses, so criterion 3 and the bound tests compare the library
+against a second computation.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from scipy.optimize import linprog
+
+from rlp import (
+    GrowthModel,
+    LevyTriplet,
+    Polyhedron,
+    SolveOptions,
+    UncertaintySet,
+    UtilitySpec,
+    natural_constraints,
+)
+from rlp.optimizer import FeasibleRegion, _slsqp_max, golden_max
+
+# Kelley's cutting planes stop on this relative bracket width, or this many cuts.
+KELLEY_RTOL = 1e-7
+KELLEY_MAX_CUTS = 60
+
+
+def response_region(theta: UncertaintySet,
+                    feasible: Polyhedron) -> tuple[FeasibleRegion, float]:
+    """Region and smoothing floor for best responses: the default schedule's
+    final shrink level in several dimensions, the untightened polytope in one."""
+    n_last = SolveOptions().shrink_schedule[-1]
+    if feasible.dimension > 1:
+        feasible = feasible.intersect(natural_constraints(theta, n_last))
+    return FeasibleRegion(feasible), -1.0 + 0.5 / n_last
+
+
+def single_max(triplet: LevyTriplet, region: FeasibleRegion, utility: UtilitySpec,
+               y0: np.ndarray | None = None,
+               floor: float = -1.0 + 0.5 / 1024) -> tuple[np.ndarray, float]:
+    """Maximize one triplet's growth rate over the region.
+
+    The growth rate is concave in the strategy, so one local solve is global:
+    golden-section search in one dimension, otherwise one SLSQP solve from y0
+    (the origin when y0 is None).
+    """
+    model = GrowthModel(UncertaintySet((triplet,)), utility)
+    if region.d == 1:
+        lo, hi = region.interval
+        x, value = golden_max(lambda t: model.robust_value(np.array([t])), lo, hi)
+        return np.array([x]), value
+    start = np.zeros(region.d) if y0 is None else y0
+    y, _ = _slsqp_max(model, region, start, floor)
+    return y, model.robust_value(y)
+
+
+def mixture_min(theta: UncertaintySet, feasible: Polyhedron,
+                utility: UtilitySpec) -> tuple[float, float, np.ndarray]:
+    """Bracket min over mixtures w of max over y of sum_i w_i G_i(y) by
+    Kelley's cutting planes; return (lower, upper, weights).
+
+    That function of w is convex, and a best response y_w to any mixture
+    gives the cut w' -> sum_i w'_i G_i(y_w) below it. From uniform weights,
+    each round runs one best response on the final shrink level (warm-started
+    from the last), adds its cut and solves the master LP min t subject to
+    cut_j . w <= t over the simplex: its optimum is the lower bound and its
+    argmin the next mixture. The smallest best-response value is the upper
+    bound, and weights the mixture that reached it. Stops when the bracket is
+    within 1e-7 (1 + |upper|) or after 60 cuts.
+    """
+    k = len(theta.vertices)
+    model = GrowthModel(theta, utility)
+    region, floor = response_region(theta, feasible)
+    cost = np.append(np.zeros(k), 1.0)
+    a_eq = np.append(np.ones(k), 0.0)[None, :]
+    bounds = [(0.0, None)] * k + [(None, None)]
+    weights = np.full(k, 1.0 / k)
+    lower, upper, best, y = -math.inf, math.inf, weights, None
+    cuts: list[np.ndarray] = []
+    while len(cuts) < KELLEY_MAX_CUTS:
+        y, value = single_max(theta.mix(weights), region, utility, y0=y, floor=floor)
+        if value < upper:
+            upper, best = value, weights
+        if k == 1:
+            return value, value, weights
+        cuts.append(np.append(model.vertex_values(y), -1.0))
+        res = linprog(cost, A_ub=np.array(cuts), b_ub=np.zeros(len(cuts)),
+                      A_eq=a_eq, b_eq=[1.0], bounds=bounds, method="highs")
+        lower = float(res.fun)
+        weights = np.clip(res.x[:k], 0.0, None)
+        weights /= weights.sum()
+        if upper - lower <= KELLEY_RTOL * (1.0 + abs(upper)):
+            break
+    return lower, upper, best

@@ -26,13 +26,13 @@ from rlp import (
     martingale_check,
     maximize_robust,
     mc_expected_utility,
-    mixture_min,
     natural_constraints,
     problem_value,
     worst_case_growth,
 )
 
 from helpers_instances import random_instance, random_sim_instance, random_triplet
+from helpers_oracle import mixture_min
 
 ROOT = Path(__file__).resolve().parent.parent
 

@@ -103,6 +103,18 @@ def test_validate_triplet_reports_each_violation():
     assert validate_triplet(make_triplet()) == []
 
 
+def test_symmetry_tolerance_is_entrywise_and_refuses_infinities():
+    def triplet(c):
+        return LevyTriplet(np.zeros(2), np.array(c), JumpMeasure.empty(2))
+
+    assert validate_triplet(triplet([[1.0, 0.5 + 0.9e-9], [0.5, 1.0]])) == []
+    assert any("symmetric" in m
+               for m in validate_triplet(triplet([[1.0, 0.5 + 1.1e-9], [0.5, 1.0]])))
+    # equal infinities are "close" to np.allclose; the entries are still refused
+    assert validate_triplet(triplet([[1.0, np.inf], [np.inf, 1.0]])) == [
+        "diffusion matrix has non-finite entries"]
+
+
 def test_uncertainty_set_mix_merges_duplicate_atoms():
     t1 = make_triplet(b=0.1, c=0.04, atoms=((0.2, (1.0,)),))
     t2 = make_triplet(b=0.3, c=0.08, atoms=((0.4, (1.0,)), (0.6, (-0.5,))))

@@ -6,6 +6,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
@@ -163,6 +164,28 @@ def test_indefinite_diffusion_is_rejected(tmp_path):
     model["Theta"]["vertices"][0]["c"] = [[-1.0]]
     with pytest.raises(ModelError, match="vertex 0.*not PSD"):
         load_model(write_model(tmp_path, model))
+
+
+def test_overflowing_diffusion_ends_in_the_non_finite_error(tmp_path):
+    # the box corners scale c_base past the float range: equal infinities
+    # off the diagonal, so the matrix is symmetric to np.allclose
+    model = minimal_model(dimension=2, C={"box": [[0.0, 1.0], [0.0, 1.0]]})
+    model["Theta"] = {"box": {"b": [[0.1, 0.12], [0.1, 0.1]], "c_scale": [10.0, 20.0],
+                              "c_base": [[1.0, 1e308], [1e308, 1.0]]}}
+    with np.errstate(over="ignore"), pytest.raises(
+            ModelError, match="^vertex 0: diffusion matrix has non-finite entries;"):
+        load_model(write_model(tmp_path, model))
+
+
+def test_log_utility_checks_its_epsilon(tmp_path):
+    with pytest.raises(SchemaError, match="'utility.epsilon' must be a finite number"):
+        load_model(write_model(tmp_path, minimal_model(
+            utility={"kind": "log", "epsilon": "abc"})))
+    # a valid epsilon is inert for log utility and leaves the digest alone
+    plain = load_model(write_model(tmp_path, minimal_model()))
+    with_epsilon = load_model(write_model(tmp_path, minimal_model(
+        utility={"kind": "log", "epsilon": 0.5})))
+    assert with_epsilon.digest == plain.digest
 
 
 def test_unbounded_problems_are_rejected(tmp_path):

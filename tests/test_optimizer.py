@@ -1,16 +1,20 @@
 """Robust maximization, saddle extraction, and the mixture player's bracket."""
 
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rlp import (
     DidNotConvergeError,
+    GrowthModel,
     JumpMeasure,
     LevyTriplet,
     NotCompactError,
     Polyhedron,
+    SaddleCertificate,
     SaddleNotCertifiedError,
     SolveOptions,
     UncertaintyBox,
@@ -19,8 +23,8 @@ from rlp import (
     compile_box_to_vertices,
     effective_domain,
     find_saddle,
+    load_model,
     maximize_robust,
-    mixture_min,
     optimality_residual,
     problem_value,
     verify_saddle,
@@ -28,8 +32,10 @@ from rlp import (
 from rlp.optimizer import FeasibleRegion, golden_max
 
 from helpers_instances import random_instance
+from helpers_oracle import mixture_min, response_region, single_max
 
 LOG = UtilitySpec.log_utility()
+TWO_ASSET = Path(__file__).resolve().parent.parent / "models" / "two_asset_log.json"
 
 
 def one_asset(b, c, atoms=()):
@@ -232,12 +238,12 @@ def test_a_two_dimensional_verify_runs_two_lps(monkeypatch):
     assert ok, details
     # one stacked bounding-box LP, one stationarity LP
     assert calls == ["rlp.levy", "rlp.optimizer"]
-    # find_saddle's robust solve (two shrink levels) and best response, and
-    # the recheck's one best response
-    assert slsqp_calls == ["SLSQP"] * 4
+    # find_saddle's robust solve on the final shrink level; the previous level
+    # holds its maximizer, and both upper bounds are arithmetic
+    assert slsqp_calls == ["SLSQP"]
 
 
-def test_boundary_chasing_raises_did_not_converge():
+def boundary_chasing_instance():
     # fractional power keeps the growth rate finite at the no-bankruptcy
     # boundary, and a strong drift pushes the optimum onto it, so the
     # tightened solutions keep moving between shrink levels
@@ -246,8 +252,21 @@ def test_boundary_chasing_raises_did_not_converge():
     theta = UncertaintySet((t,))
     feasible, compact = effective_domain(Polyhedron.box([(0.0, 2.0)] * 2), theta)
     assert compact
+    return theta, feasible, UtilitySpec.power_utility(0.5)
+
+
+def test_boundary_chasing_raises_did_not_converge():
     with pytest.raises(DidNotConvergeError):
-        maximize_robust(theta, feasible, UtilitySpec.power_utility(0.5))
+        maximize_robust(*boundary_chasing_instance())
+
+
+def test_a_maximizer_outside_the_previous_level_solves_that_level_too():
+    theta, feasible, u = boundary_chasing_instance()
+    solution = maximize_robust(theta, feasible, u, SolveOptions(value_tol=1.0))
+    diagnostics = solution.diagnostics
+    assert [level["n"] for level in diagnostics["levels"]] == [1024, 256]
+    assert diagnostics["levels_run"] == 2 and diagnostics["implied"] == []
+    assert solution.robust_g == max(level["value"] for level in diagnostics["levels"])
 
 
 def test_solution_is_deterministic():
@@ -270,7 +289,8 @@ def test_multidimensional_solutions_report_their_certificate():
         assert diagnostics["method"] == "slsqp-epigraph"
         assert optimality_residual(theta, feasible, u, solution.y_hat) <= opts.value_tol
         levels = diagnostics["levels"]
-        assert len(levels) == diagnostics["levels_run"] >= 1
+        assert len(levels) == diagnostics["levels_run"] == 1
+        assert diagnostics["implied"] == [opts.shrink_schedule[-2]]
         for level in levels:
             assert level["n"] in opts.shrink_schedule[-2:]
             assert isinstance(level["status"], int) and level["nit"] >= 1
@@ -312,11 +332,103 @@ def test_verify_saddle_rejects_an_off_optimum_candidate():
     shifted = type(cert)(
         y_hat=cert.y_hat * 0.5,
         theta_hat_weights=cert.theta_hat_weights,
+        face_multipliers=cert.face_multipliers,
         value=cert.value - 0.01,
         residual_max_y=0.0, residual_min_theta=0.0, gap=0.0)
     ok, details = verify_saddle(theta, feasible, LOG, shifted, tol=1e-6)
     assert not ok
     assert details["residuals"]["gap"] > 1e-4
+
+
+def certified_two_asset_saddle():
+    spec = load_model(str(TWO_ASSET))
+    cert = find_saddle(spec.theta, spec.feasible, spec.utility)
+    assert np.count_nonzero(cert.face_multipliers) >= 1
+    return spec.theta, spec.feasible, spec.utility, cert
+
+
+def test_verify_saddle_fails_a_strategy_outside_the_feasible_set():
+    # the unconstrained Merton optimum y = 3 is stationary, so its bound
+    # closes at 0.09, but the game on [0, 1] is worth less: only the
+    # feasibility guard keeps min_theta from being a false lower bound
+    u = UtilitySpec.power_utility(0.5)
+    theta = UncertaintySet((one_asset(0.06, 0.04),))
+    feasible, _ = effective_domain(Polyhedron.box([(0.0, 1.0)]), theta)
+    outside = SaddleCertificate(
+        y_hat=np.array([3.0]), theta_hat_weights=np.array([1.0]),
+        face_multipliers=np.zeros(feasible.m), value=0.09,
+        residual_max_y=0.0, residual_min_theta=0.0, gap=0.0)
+    ok, details = verify_saddle(theta, feasible, u, outside)
+    assert not ok
+    assert details["checks"] == {"max_y": math.inf, "min_theta": -math.inf}
+
+
+def test_verify_saddle_fails_weights_off_the_simplex():
+    theta, feasible, u, cert = certified_two_asset_saddle()
+    w = cert.theta_hat_weights
+    # twice the weights, a negative entry summing to 1, the wrong length, NaN
+    for weights in (2.0 * w, np.array([1.5, -0.5]), np.append(w, 0.0),
+                    np.full_like(w, math.nan)):
+        ok, details = verify_saddle(theta, feasible, u, dataclasses.replace(
+            cert, theta_hat_weights=weights))
+        assert not ok
+        assert details["checks"]["max_y"] == math.inf
+
+
+def test_verify_saddle_fails_malformed_face_multipliers():
+    theta, feasible, u, cert = certified_two_asset_saddle()
+    lam = cert.face_multipliers
+    negative = lam.copy()
+    negative[np.argmax(lam)] = -1.0
+    for multipliers in (lam[:-1], negative, np.where(lam > 0, math.inf, 0.0),
+                        np.full_like(lam, math.nan)):
+        ok, details = verify_saddle(theta, feasible, u, dataclasses.replace(
+            cert, face_multipliers=multipliers))
+        assert not ok
+        assert details["checks"]["max_y"] == math.inf
+
+
+def test_verify_saddle_fails_a_singular_gradient():
+    # y = 1 sits on the bankruptcy boundary of the jump z = -1: the
+    # fractional-power growth rate is finite there but its slope is not
+    u = UtilitySpec.power_utility(0.5)
+    theta = UncertaintySet((one_asset(0.1, 0.04, [(0.2, (-1.0,))]),))
+    feasible, _ = effective_domain(Polyhedron.box([(0.0, 2.0)]), theta)
+    y = np.array([1.0])
+    assert feasible.contains(y, tol=0.0)
+    value = float(GrowthModel(theta, u).vertex_values(y)[0])
+    candidate = SaddleCertificate(
+        y_hat=y, theta_hat_weights=np.array([1.0]), face_multipliers=np.zeros(feasible.m),
+        value=value, residual_max_y=0.0, residual_min_theta=0.0, gap=0.0)
+    ok, details = verify_saddle(theta, feasible, u, candidate)
+    assert not ok
+    assert details["checks"]["max_y"] == math.inf
+    assert details["checks"]["min_theta"] == value
+
+
+def test_dual_bound_dominates_best_responses_and_grows_with_the_multipliers():
+    spec = load_model(str(TWO_ASSET))
+    cases = [(spec.theta, spec.feasible, spec.utility)]
+    cases += [case for case in map(random_instance, range(1000, 1020))
+              if case[0].dimension >= 2]
+    assert len(cases) >= 6
+    rng = np.random.default_rng(7)
+    for theta, feasible, u in cases:
+        cert = find_saddle(theta, feasible, u)
+        _, details = verify_saddle(theta, feasible, u, cert)
+        bound = details["checks"]["max_y"]
+        # the best response to the same mixture on the n = 1024 set is a
+        # feasible value of the mixture, so the bound is above it up to rounding
+        region, floor = response_region(theta, feasible)
+        _, response = single_max(theta.mix(cert.theta_hat_weights), region, u,
+                                 y0=cert.y_hat, floor=floor)
+        assert bound >= response - 4 * np.finfo(float).eps * (1.0 + abs(response))
+        lam = cert.face_multipliers
+        for multipliers in (1.5 * lam, 10.0 * lam,
+                            *(lam + rng.uniform(0.0, 1.0, lam.shape) for _ in range(5))):
+            _, moved = verify_saddle(theta, feasible, u, dataclasses.replace(
+                cert, face_multipliers=multipliers))
+            assert moved["checks"]["max_y"] >= bound
 
 
 def test_optimality_residual_separates_optimum_from_rest():
