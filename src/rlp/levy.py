@@ -321,9 +321,10 @@ def characteristics_bound(theta: UncertaintySet, utility: UtilitySpec) -> float:
 class Polyhedron:
     """Intersection of halfspaces {y : normal . y <= offset}, one row each.
 
-    ``bounds`` and ``compact`` solve the 2 d bounding-box side problems (one
-    stacked LP, see :func:`bounding_box`) on first use and keep the result,
-    so a polyhedron is proved compact at most once.
+    ``bounds`` and ``compact`` find the bounding box on first use, in closed
+    form when the single-coordinate rows decide it and by one stacked LP
+    otherwise (see :func:`bounding_box`), and keep the result, so a
+    polyhedron is proved compact at most once.
     """
 
     normals: np.ndarray
@@ -435,19 +436,39 @@ def natural_constraints(theta: UncertaintySet, n: int | None = None) -> Polyhedr
 
 
 def bounding_box(poly: Polyhedron) -> tuple[np.ndarray, np.ndarray]:
-    """Per-coordinate LP bounds of the polyhedron; +-inf marks unbounded sides.
+    """Per-coordinate bounds of the polyhedron; +-inf marks unbounded sides.
 
-    The 2 d side problems (minimise, then maximise, each coordinate) run as
-    one LP over 2 d independent copies of the variables. It separates, so
-    each copy sits at its own side's optimum. When that LP is unbounded, the
-    sides are solved one at a time to tell which ones are open. Raises
-    InfeasibleError when the polyhedron is empty.
+    Rows with exactly one nonzero coefficient a bound their coordinate at
+    offset / a and cut out a box B, whose sides may be infinite. When every
+    other row holds on all of B (its largest value over B, summed over its
+    nonzero coefficients only, stays within its offset), B is the polyhedron
+    itself and is returned in closed form; this covers every one-dimensional
+    polyhedron. Otherwise the 2 d side problems (minimise, then maximise,
+    each coordinate) run as one LP over 2 d independent copies of the
+    variables. It separates, so each copy sits at its own side's optimum.
+    When that LP is unbounded, the sides are solved one at a time to tell
+    which ones are open. Raises InfeasibleError when the polyhedron is empty.
     """
     d = poly.dimension
+    lo, hi = np.full(d, -np.inf), np.full(d, np.inf)
+    if poly.m == 0:
+        return lo, hi
+    normals, offsets = poly.normals, poly.offsets
+    touches = normals != 0.0
+    axis = np.count_nonzero(touches, axis=1) == 1
+    coord = np.argmax(touches[axis], axis=1)
+    coef = normals[axis][np.arange(len(coord)), coord]
+    cut = offsets[axis] / coef
+    np.maximum.at(lo, coord[coef < 0.0], cut[coef < 0.0])
+    np.minimum.at(hi, coord[coef > 0.0], cut[coef > 0.0])
+    if np.any(lo > hi):
+        raise InfeasibleError("constraint polyhedron is empty")
+    with np.errstate(invalid="ignore"):  # 0 * inf on rows that miss an open side
+        reach = np.where(touches, normals * np.where(normals > 0.0, hi, lo), 0.0)
+    if np.all(reach[~axis].sum(axis=1) <= offsets[~axis]):
+        return lo, hi
     # side j bounds coordinate j % d from below (j < d) or from above
     ends = np.concatenate([np.full(d, -np.inf), np.full(d, np.inf)])
-    if poly.m == 0:
-        return ends[:d], ends[d:]
     batches = [np.arange(2 * d)]
     for sides in batches:
         n = len(sides)
@@ -472,10 +493,10 @@ def effective_domain(constraints: Polyhedron, theta: UncertaintySet) -> tuple[Po
     """Intersect the strategy constraints with the no-bankruptcy halfspaces.
 
     Returns the merged polyhedron and its ``compact`` flag, whose bounding
-    box (one stacked LP for a compact polytope) stays cached on that
-    polyhedron. Raises OriginExcludedError when the zero strategy is not
-    allowed (some constraint offset is negative) and InfeasibleError when the
-    intersection is empty.
+    box (see :func:`bounding_box`) stays cached on that polyhedron. Raises
+    OriginExcludedError when the zero strategy is not allowed (some
+    constraint offset is negative) and InfeasibleError when the intersection
+    is empty.
     """
     if constraints.dimension != theta.dimension:
         raise ValueError("constraint dimension does not match the uncertainty set")
@@ -555,7 +576,8 @@ def compile_box_to_vertices(box: UncertaintyBox) -> UncertaintySet:
     vertices = []
     for corner in itertools.product(*params):
         b = np.array(corner[:d])
-        c = corner[d] * box.c_base
+        with np.errstate(over="ignore"):  # validate_triplet refuses the inf
+            c = corner[d] * box.c_base
         atoms = [(corner[d + 1 + j], box.atom_locations[j])
                  for j in range(m) if corner[d + 1 + j] > 0.0]
         vertices.append(LevyTriplet(b, c, JumpMeasure.from_atoms(atoms, dimension=d)))

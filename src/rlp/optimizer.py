@@ -9,10 +9,10 @@ level's set; one-dimensional problems use golden-section search directly.
 :func:`optimality_residual` gives a strategy's first-order residual, which
 the ``solve`` report carries for multidimensional problems. The saddle's
 mixture on the uncertainty simplex and its face multipliers come from a
-stationarity LP at the maximizer. Concavity turns them into an upper bound
-on the game value by arithmetic alone (:func:`_dual_bound`); with the worst
-vertex value at the maximizer as the lower bound, the bracket certifies the
-pair.
+nonnegative least-squares fit of the stationarity condition at the
+maximizer. Concavity turns them into an upper bound on the game value by
+arithmetic alone (:func:`_dual_bound`); with the worst vertex value at the
+maximizer as the lower bound, the bracket certifies the pair.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import OptimizeResult, linprog, minimize
+from scipy.optimize import OptimizeResult, minimize, nnls
 
 from .errors import (
     AtSingularityError,
@@ -295,10 +295,15 @@ def maximize_robust(theta: UncertaintySet, feasible: Polyhedron, utility: Utilit
 
 def _stationarity_weights(model: GrowthModel, poly: Polyhedron, y: np.ndarray,
                           gvals: np.ndarray, atol: float) -> tuple[float, np.ndarray, np.ndarray]:
-    """LP check that some active-vertex mixture gradient lies in the normal cone.
+    """Least-squares search for an active-vertex mixture whose gradient lies in
+    the normal cone of the active faces.
 
-    Returns the best achievable infinity-norm residual, the mixture, and the
-    face multipliers (one per row of poly, zero on the inactive rows).
+    Nonnegative least squares (Lawson-Hanson) fits the mixture weights w and
+    face multipliers lam to G^T w - N^T lam = 0, with one extra row
+    rho * sum(w) = rho, rho = 1 + max |G|, that holds the weights near the
+    simplex; both are then divided by sum(w). Returns the infinity-norm
+    residual of that pair, the mixture, and the face multipliers (one per row
+    of poly, zero on the inactive rows).
     """
     k = model.k
     gmin = float(np.min(gvals))
@@ -314,31 +319,23 @@ def _stationarity_weights(model: GrowthModel, poly: Polyhedron, y: np.ndarray,
         return math.inf, fallback, multipliers
     slack = poly.offsets - poly.normals @ y
     active_f = np.flatnonzero(np.abs(slack) <= 1e-8 * (1.0 + np.abs(poly.offsets)))
-    normals = poly.normals[active_f]
-    na, nf, d = len(active_v), len(normals), model.d
-    # Variables: mixture weights, face multipliers, residual bound t.
-    cost = np.zeros(na + nf + 1)
-    cost[-1] = 1.0
-    rows = []
-    for i in range(d):
-        row = np.concatenate([grads[:, i], -normals[:, i], [-1.0]])
-        rows.append(row)
-        rows.append(np.concatenate([-grads[:, i], normals[:, i], [-1.0]]))
-    a_ub = np.array(rows)
-    b_ub = np.zeros(2 * d)
-    a_eq = np.zeros((1, na + nf + 1))
-    a_eq[0, :na] = 1.0
-    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],
-                  bounds=[(0.0, None)] * (na + nf + 1), method="highs")
-    if res.status != 0:
+    na = len(active_v)
+    system = np.hstack([grads.T, -poly.normals[active_f].T])
+    rho = 1.0 + float(np.max(np.abs(grads)))
+    simplex_row = np.concatenate([np.full(na, rho), np.zeros(len(active_f))])
+    target = np.append(np.zeros(model.d), rho)
+    try:
+        x, _ = nnls(np.vstack([system, simplex_row]), target)
+    except (ValueError, RuntimeError):  # a non-finite gradient, or no convergence
         return math.inf, fallback, multipliers
+    total = float(x[:na].sum())
+    if not total > 0.0:
+        return math.inf, fallback, multipliers
+    x /= total
     weights = np.zeros(k)
-    weights[active_v] = np.clip(res.x[:na], 0.0, None)
-    total = weights.sum()
-    if total <= 0.0:
-        return math.inf, fallback, multipliers
-    multipliers[active_f] = np.clip(res.x[na:na + nf], 0.0, None) / total
-    return float(res.x[-1]), weights / total, multipliers
+    weights[active_v] = x[:na]
+    multipliers[active_f] = x[na:]
+    return float(np.max(np.abs(system @ x))), weights, multipliers
 
 
 def _dual_bound(model: GrowthModel, feasible: Polyhedron, y: np.ndarray,
@@ -372,8 +369,10 @@ def _dual_bound(model: GrowthModel, feasible: Polyhedron, y: np.ndarray,
 
 def optimality_residual(theta: UncertaintySet, feasible: Polyhedron, utility: UtilitySpec,
                         y: np.ndarray, atol: float | None = None) -> float:
-    """First-order optimality residual of y: distance of the best active-vertex
-    mixture gradient from the normal cone of the polytope, via an LP."""
+    """First-order optimality residual of y: the infinity-norm distance of the
+    least-squares active-vertex mixture gradient from the normal cone of the
+    polytope (see :func:`_stationarity_weights`); an upper bound on the
+    distance of the best such mixture."""
     model = GrowthModel(theta, utility)
     y = np.atleast_1d(np.asarray(y, dtype=float))
     gvals = model.vertex_values(y)
@@ -388,9 +387,10 @@ def find_saddle(theta: UncertaintySet, feasible: Polyhedron, utility: UtilitySpe
                 certify_tol: float | None = None) -> SaddleCertificate:
     """Solve for the strategy, then extract and certify a worst-case mixture.
 
-    The mixture and the face multipliers are the ones the stationarity LP
-    finds at the maximizer: the mixture's gradient lies in the normal cone of
-    the polytope there. Vertices count as active within a quarter of
+    The mixture and the face multipliers are the least-squares stationarity
+    fit at the maximizer (:func:`_stationarity_weights`): the mixture's
+    gradient lies in, or as near as the fit gets to, the normal cone of the
+    polytope there. Vertices count as active within a quarter of
     certify_tol, but never closer than the solver's 1e-9 resolution (both
     relative to the worst value). The dual bound of the pair and the worst
     vertex value at the maximizer bracket the game value; certification

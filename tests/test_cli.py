@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -214,6 +215,21 @@ def test_negative_box_rate_exits_1(capsys, tmp_path):
         capsys, ["validate", "--model", write_model(tmp_path, json.dumps(model))])
     assert status == 0
     assert report["results"]["n_vertices"] == 8
+
+
+def test_overflowing_box_diffusion_exits_1_without_a_warning(capsys, tmp_path):
+    model = json.loads(Path(BOX).read_text())
+    model["Theta"]["box"]["c_base"] = [[1e308]]
+    model["Theta"]["box"]["c_scale"] = [10.0, 20.0]
+    path = write_model(tmp_path, json.dumps(model))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        status = main(["validate", "--model", path])
+    captured = capsys.readouterr()
+    assert status == 1
+    assert json.loads(captured.out)["results"]["error"]["code"] == "ModelError"
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "RuntimeWarning" not in captured.err
 
 
 def two_asset_model() -> dict:

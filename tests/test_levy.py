@@ -343,6 +343,58 @@ def test_bounding_box_matches_the_per_side_lps(case):
     assert np.array_equal(np.isinf(hi), open_hi)
 
 
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """One entry per LP that rlp.levy runs during the test."""
+    import rlp.levy
+
+    calls = []
+
+    def counted(*args, _linprog=rlp.levy.linprog, **kwargs):
+        calls.append(args)
+        return _linprog(*args, **kwargs)
+
+    monkeypatch.setattr(rlp.levy, "linprog", counted)
+    return calls
+
+
+@pytest.mark.parametrize("poly, lo, hi", [
+    # a box cut by rows that hold on all of it
+    (Polyhedron.box([(-1.0, 2.0), (0.0, 0.5)]).intersect(
+        Polyhedron(np.array([[1.0, 1.0], [-1.0, 3.0]]), np.array([2.5, 2.5]))),
+     [-1.0, 0.0], [2.0, 0.5]),
+    # one dimension with an open side: every row is axis-aligned
+    (Polyhedron(np.array([[-1.0], [-2.0]]), np.array([0.0, 3.0])), [0.0], [math.inf]),
+], ids=["redundant-rows", "half-line"])
+def test_bounding_box_is_closed_form_when_axis_rows_decide_it(lp_calls, poly, lo, hi):
+    got_lo, got_hi = bounding_box(poly)
+    assert lp_calls == []
+    assert np.array_equal(got_lo, lo) and np.array_equal(got_hi, hi)
+
+
+def test_crossed_axis_rows_are_empty_without_an_lp(lp_calls):
+    crossed = Polyhedron(np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, 1.0]]),
+                         np.array([0.0, -1.0, 4.0]))
+    with pytest.raises(InfeasibleError):
+        bounding_box(crossed)
+    assert lp_calls == []
+
+
+@pytest.mark.parametrize("poly", [
+    # a box cut by a diagonal row
+    Polyhedron.box([(0.0, 1.0), (0.0, 1.0)]).intersect(
+        Polyhedron(np.array([[1.0, 1.0]]), np.array([1.5]))),
+    # the simplex {y >= 0, sum y <= 1}
+    Polyhedron(np.vstack([-np.eye(3), np.ones((1, 3))]), np.array([0.0, 0.0, 0.0, 1.0])),
+], ids=["diagonal-cut", "simplex"])
+def test_bounding_box_runs_one_lp_when_a_row_cuts_the_box(lp_calls, poly):
+    lo, hi = bounding_box(poly)
+    assert len(lp_calls) == 1
+    ref_lo, ref_hi = per_side_box(poly)
+    np.testing.assert_allclose(lo, ref_lo, rtol=1e-9, atol=1e-9)
+    np.testing.assert_allclose(hi, ref_hi, rtol=1e-9, atol=1e-9)
+
+
 def test_effective_domain_merges_natural_constraints():
     theta = UncertaintySet((make_triplet(atoms=((0.1, (1.0,)),)),))
     merged, compact = effective_domain(Polyhedron.box([(-5.0, 5.0)]), theta)

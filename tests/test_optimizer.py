@@ -29,7 +29,7 @@ from rlp import (
     problem_value,
     verify_saddle,
 )
-from rlp.optimizer import FeasibleRegion, golden_max
+from rlp.optimizer import FeasibleRegion, _stationarity_weights, golden_max
 
 from helpers_instances import random_instance
 from helpers_oracle import mixture_min, response_region, single_max
@@ -213,17 +213,17 @@ def test_compactness_is_proved_once_per_polytope(monkeypatch):
     assert calls[0] is feasible
 
 
-def test_a_two_dimensional_verify_runs_two_lps(monkeypatch):
+def test_a_two_dimensional_verify_runs_no_lp(monkeypatch):
     import rlp.levy
     import rlp.optimizer
 
-    calls = []
-    for module in (rlp.levy, rlp.optimizer):
-        def counted(*args, _module=module.__name__, _linprog=module.linprog, **kwargs):
-            calls.append(_module)
-            return _linprog(*args, **kwargs)
+    lp_calls = []
 
-        monkeypatch.setattr(module, "linprog", counted)
+    def counted_linprog(*args, _linprog=rlp.levy.linprog, **kwargs):
+        lp_calls.append(args)
+        return _linprog(*args, **kwargs)
+
+    monkeypatch.setattr(rlp.levy, "linprog", counted_linprog)
     slsqp_calls = []
 
     def counted_minimize(*args, _minimize=rlp.optimizer.minimize, **kwargs):
@@ -236,8 +236,10 @@ def test_a_two_dimensional_verify_runs_two_lps(monkeypatch):
     cert = find_saddle(theta, feasible, u)
     ok, details = verify_saddle(theta, feasible, u, cert)
     assert ok, details
-    # one stacked bounding-box LP, one stationarity LP
-    assert calls == ["rlp.levy", "rlp.optimizer"]
+    # the bounding box is closed-form and the stationarity mixture is a
+    # least-squares fit, so no LP runs at all
+    assert not hasattr(rlp.optimizer, "linprog")
+    assert lp_calls == []
     # find_saddle's robust solve on the final shrink level; the previous level
     # holds its maximizer, and both upper bounds are arithmetic
     assert slsqp_calls == ["SLSQP"]
@@ -435,6 +437,38 @@ def test_optimality_residual_separates_optimum_from_rest():
     theta, feasible = corner_box_instance()
     assert optimality_residual(theta, feasible, LOG, np.array([2.0])) < 1e-9
     assert optimality_residual(theta, feasible, LOG, np.array([1.0])) > 1e-3
+
+
+def test_stationarity_mixture_at_a_one_dimensional_kink():
+    # the two parabolas cross inside the box, where their slopes have
+    # opposite signs; the mixture that levels them is unique
+    theta = UncertaintySet((one_asset(0.02, 0.001), one_asset(0.06, 0.03)))
+    feasible, _ = effective_domain(Polyhedron.box([(0.0, 5.0)]), theta)
+    model = GrowthModel(theta, LOG)
+    y = np.array([0.04 / 0.0145])
+    g1, g2 = (float(model.gradient(i, y)[0]) for i in range(2))
+    assert g1 > 0.0 > g2
+    residual, weights, multipliers = _stationarity_weights(
+        model, feasible, y, model.vertex_values(y), atol=1e-9)
+    np.testing.assert_allclose(weights, np.array([-g2, g1]) / (g1 - g2), rtol=0, atol=1e-12)
+    assert np.all(multipliers == 0.0)
+    assert residual <= 1e-15
+
+
+def test_stationarity_multiplier_at_an_active_endpoint():
+    # one vertex rising through the upper end of the box: the face multiplier
+    # is the slope over the endpoint's normal
+    theta = UncertaintySet((one_asset(0.1, 0.01),))
+    feasible, _ = effective_domain(Polyhedron.box([(0.0, 1.0)]), theta)
+    model = GrowthModel(theta, LOG)
+    y = np.array([1.0])
+    residual, weights, multipliers = _stationarity_weights(
+        model, feasible, y, model.vertex_values(y), atol=1e-9)
+    assert weights.tolist() == [1.0]
+    upper = np.flatnonzero(feasible.normals[:, 0] > 0.0)
+    np.testing.assert_allclose(multipliers[upper] * feasible.normals[upper, 0],
+                               model.gradient(0, y), rtol=0, atol=1e-12)
+    assert residual <= 1e-15
 
 
 def test_mixture_min_finds_the_interior_mixture():
