@@ -106,7 +106,7 @@ def _solution_results(spec: ProblemSpec) -> dict:
         "y_hat": [float(v) for v in solution.y_hat],
         "robust_g": float(solution.robust_g),
         "value": float(value),
-        "worst_vertex": int(np.argmax(solution.worst_vertex_weights)),
+        "worst_vertex": solution.worst_vertex,
         "diagnostics": diagnostics,
     }
 

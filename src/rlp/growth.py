@@ -34,21 +34,26 @@ class GrowthEvaluation:
     jump_term: float
 
 
+def _phi(s: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """The jump function of s = y . z and its slope in s: log(1 + s) and
+    1 / (1 + s) for p = 0, ((1 + s)^p - 1) / p and (1 + s)^(p - 1) otherwise.
+    Callers handle s <= -1, where either may be inf or nan."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if p == 0.0:
+            return np.log1p(s), 1.0 / (1.0 + s)
+        return ((1.0 + s) ** p - 1.0) / p, (1.0 + s) ** (p - 1.0)
+
+
 def _jump_terms(s: np.ndarray, hterm: np.ndarray, p: float) -> np.ndarray:
     """Vectorized J_y(z) from s = y . z and hterm = y . h(z). May contain -inf."""
     s = np.asarray(s, dtype=float)
-    if p == 0.0:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.log1p(s) - hterm
-        return np.where(s > -1.0, vals, -np.inf)
+    vals = _phi(s, p)[0] - hterm
     if 0.0 < p < 1.0:
         if np.any(s < -1.0):
             raise OutsideDomainError(
                 "fractional-power jump term is undefined where 1 + y . z < 0")
         # Finite at s = -1 since 0^p = 0 for p > 0.
-        return ((1.0 + s) ** p - 1.0) / p - hterm
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        vals = ((1.0 + s) ** p - 1.0) / p - hterm
+        return vals
     return np.where(s > -1.0, vals, -np.inf)
 
 
@@ -139,8 +144,8 @@ class GrowthModel:
             if np.any(s <= -1.0 + SINGULARITY_TOL):
                 raise AtSingularityError(
                     "gradient undefined where a jump factor 1 + y . z hits zero")
-            factor = (1.0 + s) ** (self.p - 1.0)
-            grad = grad + self.rates[idx] @ (self.locations[idx] * factor[:, None]
+            slope = _phi(s, self.p)[1]
+            grad = grad + self.rates[idx] @ (self.locations[idx] * slope[:, None]
                                              - self.truncated[idx])
         return grad
 
@@ -157,13 +162,7 @@ class GrowthModel:
         grads = self.drifts + (self.p - 1.0) * (self.diffusions @ y)
         if len(self.rates):
             s = self.locations @ y
-            se = np.maximum(s, floor)
-            if self.p == 0.0:
-                base = np.log1p(se)
-                slope = 1.0 / (1.0 + se)
-            else:
-                base = ((1.0 + se) ** self.p - 1.0) / self.p
-                slope = (1.0 + se) ** (self.p - 1.0)
+            base, slope = _phi(np.maximum(s, floor), self.p)
             terms = base + slope * np.minimum(s - floor, 0.0) - self.truncated @ y
             vals = vals + np.bincount(self.owner, weights=self.rates * terms,
                                       minlength=self.k)

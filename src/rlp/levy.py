@@ -243,11 +243,6 @@ class UncertaintySet:
         return LevyTriplet(b, c, JumpMeasure.from_atoms(atoms, dimension=self.dimension))
 
 
-def mix_triplets(first: LevyTriplet, second: LevyTriplet, weight: float) -> LevyTriplet:
-    """weight * first + (1 - weight) * second as a single triplet."""
-    return UncertaintySet((first, second)).mix([weight, 1.0 - weight])
-
-
 @dataclass(frozen=True)
 class UtilitySpec:
     """Utility choice: log wealth, or a power p in (-inf, 0) or (0, 1).
@@ -345,18 +340,6 @@ class Polyhedron:
         return cls(np.zeros((0, dimension)), np.zeros(0))
 
     @classmethod
-    def from_halfspaces(cls, halfspaces: Iterable[tuple[Sequence[float], float]],
-                        dimension: int | None = None) -> "Polyhedron":
-        halfspaces = list(halfspaces)
-        if not halfspaces:
-            if dimension is None:
-                raise ValueError("dimension is required for an empty halfspace list")
-            return cls.whole_space(dimension)
-        normals = np.array([np.atleast_1d(n) for n, _ in halfspaces], dtype=float)
-        offsets = np.array([o for _, o in halfspaces], dtype=float)
-        return cls(normals, offsets)
-
-    @classmethod
     def box(cls, bounds: Sequence[tuple[float | None, float | None]]) -> "Polyhedron":
         """Axis-aligned box; a None bound leaves that side open."""
         d = len(bounds)
@@ -411,11 +394,12 @@ class Polyhedron:
         lo, hi = self.bounds
         return bool(np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)))
 
-    def contains(self, y: np.ndarray, tol: float = 1e-9) -> bool:
+    def contains(self, y: np.ndarray) -> bool:
+        """Exact membership: every halfspace holds at y with no tolerance."""
         y = np.asarray(y, dtype=float)
         if self.m == 0:
             return True
-        return bool(np.all(self.normals @ y <= self.offsets + tol))
+        return bool(np.all(self.normals @ y <= self.offsets))
 
 
 def natural_constraints(theta: UncertaintySet, n: int | None = None) -> Polyhedron:
@@ -506,9 +490,11 @@ def effective_domain(constraints: Polyhedron, theta: UncertaintySet) -> tuple[Po
     return merged, merged.compact
 
 
-@dataclass(frozen=True, eq=False)
-class UncertaintyBox:
-    """Interval box over characteristics, compiled to vertices by corner enumeration.
+def compile_box_to_vertices(*, b_intervals: Sequence[Sequence[float]],
+                            c_scale: Sequence[float], c_base: np.ndarray,
+                            atom_locations: Sequence[Sequence[float]],
+                            rate_intervals: Sequence[Sequence[float]]) -> UncertaintySet:
+    """Enumerate the corner triplets of an interval box over the characteristics.
 
     b_intervals
         (d, 2) per-coordinate drift intervals.
@@ -521,65 +507,28 @@ class UncertaintyBox:
     rate_intervals
         (m, 2) per-atom rate intervals; a zero lower endpoint drops the atom
         in the corresponding corners.
-    """
-
-    b_intervals: np.ndarray
-    c_scale: tuple[float, float]
-    c_base: np.ndarray
-    atom_locations: np.ndarray
-    rate_intervals: np.ndarray
-
-    def __post_init__(self):
-        b = np.asarray(self.b_intervals, dtype=float).reshape(-1, 2)
-        locs = np.asarray(self.atom_locations, dtype=float)
-        if locs.ndim == 1:
-            locs = locs.reshape(-1, 1) if locs.size else locs.reshape(0, b.shape[0])
-        rates = np.asarray(self.rate_intervals, dtype=float).reshape(-1, 2)
-        if len(rates) != len(locs):
-            raise ValueError("one rate interval per atom location is required")
-        lo_scale, hi_scale = (float(s) for s in self.c_scale)
-        base = np.asarray(self.c_base, dtype=float)
-        if base.ndim == 0:
-            base = base.reshape(1, 1)
-        object.__setattr__(self, "b_intervals", _readonly(b))
-        object.__setattr__(self, "c_scale", (lo_scale, hi_scale))
-        object.__setattr__(self, "c_base", _readonly(base))
-        object.__setattr__(self, "atom_locations", _readonly(locs))
-        object.__setattr__(self, "rate_intervals", _readonly(rates))
-
-    @property
-    def dimension(self) -> int:
-        return self.b_intervals.shape[0]
-
-
-def compile_box_to_vertices(box: UncertaintyBox) -> UncertaintySet:
-    """Enumerate the corner triplets of an interval box.
 
     Degenerate intervals contribute no factor, so k free parameters yield
     2**k vertices. Raises TooManyVerticesError when that count would exceed
     4096 (13 or more free parameters).
     """
-    params: list[tuple[float, ...]] = []
-    for lo, hi in box.b_intervals:
-        params.append((lo,) if lo == hi else (lo, hi))
-    lo_s, hi_s = box.c_scale
-    params.append((lo_s,) if lo_s == hi_s else (lo_s, hi_s))
-    for lo, hi in box.rate_intervals:
-        params.append((lo,) if lo == hi else (lo, hi))
+    if len(rate_intervals) != len(atom_locations):
+        raise ValueError("one rate interval per atom location is required")
+    params = [(lo,) if lo == hi else (lo, hi)
+              for lo, hi in (*b_intervals, c_scale, *rate_intervals)]
     n_free = sum(1 for p in params if len(p) == 2)
     if 2 ** n_free > MAX_BOX_VERTICES:
         raise TooManyVerticesError(
             f"{n_free} free interval parameters enumerate {2 ** n_free} corners "
             f"(cap {MAX_BOX_VERTICES})")
-    d = box.dimension
-    m = len(box.atom_locations)
+    d = len(b_intervals)
+    base = np.asarray(c_base, dtype=float)
     vertices = []
     for corner in itertools.product(*params):
         b = np.array(corner[:d])
         with np.errstate(over="ignore"):  # validate_triplet refuses the inf
-            c = corner[d] * box.c_base
-        atoms = [(corner[d + 1 + j], box.atom_locations[j])
-                 for j in range(m) if corner[d + 1 + j] > 0.0]
+            c = corner[d] * base
+        atoms = [(rate, z) for rate, z in zip(corner[d + 1:], atom_locations) if rate > 0.0]
         vertices.append(LevyTriplet(b, c, JumpMeasure.from_atoms(atoms, dimension=d)))
     return UncertaintySet(tuple(vertices))
 

@@ -23,7 +23,6 @@ from .levy import (
     JumpMeasure,
     LevyTriplet,
     Polyhedron,
-    UncertaintyBox,
     UncertaintySet,
     UtilitySpec,
     characteristics_bound,
@@ -219,9 +218,9 @@ def _parse_theta(obj, dimension: int) -> UncertaintySet:
             raise ModelError(f"'Theta.box.atoms[{j}].rate' must not go below 0 "
                              "(a zero lower endpoint drops the atom)")
         rate_intervals.append(rate)
-    return compile_box_to_vertices(UncertaintyBox(
+    return compile_box_to_vertices(
         b_intervals=b_intervals, c_scale=c_scale, c_base=c_base,
-        atom_locations=locations, rate_intervals=rate_intervals))
+        atom_locations=locations, rate_intervals=rate_intervals)
 
 
 def _parse_constraints(obj, dimension: int) -> Polyhedron:
@@ -246,14 +245,13 @@ def _parse_constraints(obj, dimension: int) -> Polyhedron:
     if "halfspaces" in obj:
         rows = obj["halfspaces"]
         _require(isinstance(rows, list), "'C.halfspaces' must be a list")
-        pairs = []
+        normals, offsets = [], []
         for i, row in enumerate(rows):
             row = _fields(row, f"C.halfspaces[{i}]", ("normal", "offset"))
-            normal = _vector(row.get("normal"), f"C.halfspaces[{i}].normal", dimension)
-            offset = _number(row.get("offset"), f"C.halfspaces[{i}].offset")
-            pairs.append((normal, offset))
-        if pairs:
-            poly = poly.intersect(Polyhedron.from_halfspaces(pairs))
+            normals.append(_vector(row.get("normal"), f"C.halfspaces[{i}].normal", dimension))
+            offsets.append(_number(row.get("offset"), f"C.halfspaces[{i}].offset"))
+        if normals:
+            poly = poly.intersect(Polyhedron(np.array(normals), np.array(offsets)))
     return poly
 
 

@@ -56,11 +56,12 @@ class SolveOptions:
 
 @dataclass(frozen=True, eq=False)
 class Solution:
-    """Robust maximizer, its worst-case growth rate, and solve diagnostics."""
+    """Robust maximizer, its worst-case growth rate, the index of the vertex
+    attaining it (first on ties), and solve diagnostics."""
 
     y_hat: np.ndarray
     robust_g: float
-    worst_vertex_weights: np.ndarray
+    worst_vertex: int
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -102,23 +103,26 @@ class FeasibleRegion:
         self.poly = poly
         self.d = poly.dimension
 
-    @property
-    def interval(self) -> tuple[float, float]:
-        if self.d != 1:
-            raise ValueError("interval is only defined in one dimension")
-        lo, hi = self.poly.bounds
-        return float(lo[0]), float(hi[0])
-
     def project(self, y: np.ndarray) -> np.ndarray:
         """Return y when inside, else y scaled toward the origin until every
         halfspace holds, with a relative 1e-12 inward margin. The origin is
-        feasible because every offset is nonnegative."""
+        feasible because every offset is nonnegative.
+
+        A violated row with offset <= 0 is a face through the origin, where
+        scaling would give the origin itself however small the violation; y
+        is first clipped into the cached bounding box, which puts a point a
+        rounding error past an axis face back on that face."""
         y = np.asarray(y, dtype=float)
-        if self.poly.contains(y, tol=0.0):
+        poly = self.poly
+        if poly.contains(y):
             return y
-        vals = self.poly.normals @ y
-        outside = vals > self.poly.offsets
-        scale = float(np.min(self.poly.offsets[outside] / vals[outside], initial=1.0))
+        vals = poly.normals @ y
+        outside = vals > poly.offsets
+        if np.any(poly.offsets[outside] <= 0.0):
+            y = np.clip(y, *poly.bounds)
+            vals = poly.normals @ y
+            outside = vals > poly.offsets
+        scale = float(np.min(poly.offsets[outside] / vals[outside], initial=1.0))
         return y * scale * (1.0 - 1e-12)
 
 
@@ -250,14 +254,14 @@ def maximize_robust(theta: UncertaintySet, feasible: Polyhedron, utility: Utilit
     """
     opts = opts or SolveOptions()
     model = GrowthModel(theta, utility)
-    region = FeasibleRegion(feasible)
     if not feasible.compact:
         raise NotCompactError("the feasible set is unbounded; no maximizer exists in general")
+    d = feasible.dimension
     diagnostics: dict = {}
-    if region.d == 1:
-        lo, hi = region.interval
+    if d == 1:
+        lo, hi = feasible.bounds
         y_scalar, value = golden_max(lambda t: model.robust_value(np.array([t])),
-                                     lo, hi, xtol=min(opts.y_tol * 1e-2, 1e-11))
+                                     lo[0], hi[0], xtol=min(opts.y_tol * 1e-2, 1e-11))
         y = np.array([y_scalar])
         diagnostics["method"] = "golden-section"
     else:
@@ -267,10 +271,10 @@ def maximize_robust(theta: UncertaintySet, feasible: Polyhedron, utility: Utilit
         y, value = None, -math.inf
         for n in reversed(opts.shrink_schedule[-2:]):
             shrunk = feasible.intersect(natural_constraints(theta, n))
-            if y is not None and shrunk.contains(y, tol=0.0):
+            if y is not None and shrunk.contains(y):
                 implied.append(n)
                 continue
-            level_y, res = _slsqp_max(model, FeasibleRegion(shrunk), np.zeros(region.d), floor)
+            level_y, res = _slsqp_max(model, FeasibleRegion(shrunk), np.zeros(d), floor)
             level_v = model.robust_value(level_y)
             levels.append({"n": n, "value": float(level_v), "status": int(res.status),
                            "nit": int(res.nit)})
@@ -284,13 +288,10 @@ def maximize_robust(theta: UncertaintySet, feasible: Polyhedron, utility: Utilit
                             "levels": levels, "implied": implied})
     if value <= 0.0:
         # The zero strategy is always feasible here and earns exactly 0.
-        y = np.zeros(region.d)
+        y = np.zeros(d)
         value = model.robust_value(y)
-    _, worst_idx = model.robust(y)
-    weights = np.zeros(model.k)
-    weights[worst_idx] = 1.0
-    return Solution(y_hat=y, robust_g=value, worst_vertex_weights=weights,
-                    diagnostics=diagnostics)
+    _, worst = model.robust(y)
+    return Solution(y_hat=y, robust_g=value, worst_vertex=worst, diagnostics=diagnostics)
 
 
 def _stationarity_weights(model: GrowthModel, poly: Polyhedron, y: np.ndarray,
@@ -440,7 +441,7 @@ def verify_saddle(theta: UncertaintySet, feasible: Polyhedron, utility: UtilityS
     weights = np.asarray(candidate.theta_hat_weights, dtype=float)
     multipliers = np.asarray(candidate.face_multipliers, dtype=float)
     sound = (y.shape == (model.d,) and np.all(np.isfinite(y))
-             and feasible.contains(y, tol=0.0)
+             and feasible.contains(y)
              and weights.shape == (model.k,) and np.all(weights >= 0.0)
              and abs(weights.sum() - 1.0) <= 1e-12
              and multipliers.shape == (feasible.m,) and np.all(np.isfinite(multipliers))

@@ -50,8 +50,8 @@ def single_max(triplet: LevyTriplet, region: FeasibleRegion, utility: UtilitySpe
     """
     model = GrowthModel(UncertaintySet((triplet,)), utility)
     if region.d == 1:
-        lo, hi = region.interval
-        x, value = golden_max(lambda t: model.robust_value(np.array([t])), lo, hi)
+        lo, hi = region.poly.bounds
+        x, value = golden_max(lambda t: model.robust_value(np.array([t])), lo[0], hi[0])
         return np.array([x]), value
     start = np.zeros(region.d) if y0 is None else y0
     y, _ = _slsqp_max(model, region, start, floor)

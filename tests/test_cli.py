@@ -15,6 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
 BOX = str(ROOT / "models" / "box_log_jump.json")
 MERTON = str(ROOT / "models" / "merton_power.json")
 TWO_ASSET = str(ROOT / "models" / "two_asset_log.json")
+LONG_ONLY = str(ROOT / "models" / "long_only_log.json")
 
 
 def run(capsys, argv):
@@ -254,6 +255,29 @@ def test_the_bundled_two_asset_model_solves_and_verifies(capsys):
     assert results["passed"] is True
     assert results["independent_recheck"]["residuals"]["gap"] <= 1e-12
     assert results["mc_vs_closed_form"]["mc"]["n_paths"] == 100000
+
+
+def test_the_bundled_long_only_model_keeps_its_maximizer_on_the_face(capsys):
+    # closed form: vertex 1 is worst, and on the face y_2 = 0 its growth
+    # 0.04 y_1 - 0.025 y_1^2 peaks at y_1 = 0.8 with value 0.016; its gradient
+    # there, (0, -0.01), is 0.01 times the normal of -y_2 <= 0. SLSQP ends a
+    # rounding error past that face, which passes through the origin.
+    status, report = run_json(capsys, ["solve", "--model", LONG_ONLY])
+    assert status == 0
+    results = report["results"]
+    assert results["y_hat"] == pytest.approx([0.8, 0.0], abs=1e-7)
+    assert results["robust_g"] == pytest.approx(0.016, abs=1e-9)
+    assert results["worst_vertex"] == 1
+    status, report = run_json(capsys, ["saddle", "--model", LONG_ONLY])
+    assert status == 0
+    results = report["results"]
+    assert results["certified"] is True
+    assert results["theta_hat_weights"] == pytest.approx([0.0, 1.0], abs=1e-9)
+    # rows of C.box: y_1 <= 1, -y_1 <= 0, y_2 <= 1, -y_2 <= 0
+    assert results["face_multipliers"] == pytest.approx([0.0, 0.0, 0.0, 0.01], abs=1e-9)
+    status, report = run_json(capsys, ["verify", "--model", LONG_ONLY])
+    assert status == 0
+    assert report["results"]["passed"] is True
 
 
 def density_model(**density) -> dict:

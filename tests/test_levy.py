@@ -16,7 +16,6 @@ from rlp import (
     Polyhedron,
     SupportContainsZeroError,
     TooManyVerticesError,
-    UncertaintyBox,
     UncertaintySet,
     UtilitySpec,
     bounding_box,
@@ -24,7 +23,6 @@ from rlp import (
     compile_box_to_vertices,
     discretize_density,
     effective_domain,
-    mix_triplets,
     natural_constraints,
     truncation,
     validate_triplet,
@@ -145,9 +143,9 @@ def test_mix_rejects_bad_weights():
         theta.mix([0.0, 0.0])
 
 
-def test_mix_triplets_convenience():
+def test_mix_of_two_triplets():
     t1, t2 = make_triplet(b=0.0), make_triplet(b=1.0)
-    assert mix_triplets(t1, t2, 0.25).b == pytest.approx([0.75])
+    assert UncertaintySet((t1, t2)).mix([0.25, 0.75]).b == pytest.approx([0.75])
 
 
 def test_atom_locations_are_distinct():
@@ -419,14 +417,14 @@ def test_effective_domain_requires_the_origin():
 
 
 def test_compile_box_enumerates_corners():
-    box = UncertaintyBox(
+    box = dict(
         b_intervals=np.array([[0.10, 0.12]]),
         c_scale=(0.03, 0.04),
         c_base=np.array([[1.0]]),
         atom_locations=np.array([[1.0]]),
         rate_intervals=np.array([[0.02, 0.03]]),
     )
-    theta = compile_box_to_vertices(box)
+    theta = compile_box_to_vertices(**box)
     assert len(theta.vertices) == 8
     seen = {(float(v.b[0]), float(v.c[0, 0]), float(v.jumps.rates[0]))
             for v in theta.vertices}
@@ -435,31 +433,33 @@ def test_compile_box_enumerates_corners():
 
 
 def test_compile_box_degenerate_intervals_collapse():
-    box = UncertaintyBox(
+    box = dict(
         b_intervals=np.array([[0.1, 0.1]]),
         c_scale=(0.04, 0.04),
         c_base=np.array([[1.0]]),
         atom_locations=np.zeros((0, 1)),
         rate_intervals=np.zeros((0, 2)),
     )
-    assert len(compile_box_to_vertices(box).vertices) == 1
+    assert len(compile_box_to_vertices(**box).vertices) == 1
+    with pytest.raises(ValueError):
+        compile_box_to_vertices(**{**box, "rate_intervals": np.zeros((1, 2))})
 
 
 def test_compile_box_zero_rate_corner_drops_the_atom():
-    box = UncertaintyBox(
+    box = dict(
         b_intervals=np.array([[0.1, 0.1]]),
         c_scale=(0.04, 0.04),
         c_base=np.array([[1.0]]),
         atom_locations=np.array([[0.5]]),
         rate_intervals=np.array([[0.0, 0.3]]),
     )
-    theta = compile_box_to_vertices(box)
+    theta = compile_box_to_vertices(**box)
     counts = sorted(v.jumps.m for v in theta.vertices)
     assert counts == [0, 1]
 
 
 def test_compile_box_vertex_cap():
-    box = UncertaintyBox(
+    box = dict(
         b_intervals=np.tile([0.0, 0.1], (13, 1)),
         c_scale=(1.0, 1.0),
         c_base=np.eye(13),
@@ -467,7 +467,7 @@ def test_compile_box_vertex_cap():
         rate_intervals=np.zeros((0, 2)),
     )
     with pytest.raises(TooManyVerticesError):
-        compile_box_to_vertices(box)
+        compile_box_to_vertices(**box)
 
 
 def test_discretize_density_midpoint_rule():

@@ -17,7 +17,6 @@ from rlp import (
     SaddleCertificate,
     SaddleNotCertifiedError,
     SolveOptions,
-    UncertaintyBox,
     UncertaintySet,
     UtilitySpec,
     compile_box_to_vertices,
@@ -31,7 +30,7 @@ from rlp import (
 )
 from rlp.optimizer import FeasibleRegion, _stationarity_weights, golden_max
 
-from helpers_instances import random_instance
+from helpers_instances import BOX_RADIUS, random_instance
 from helpers_oracle import mixture_min, response_region, single_max
 
 LOG = UtilitySpec.log_utility()
@@ -45,14 +44,14 @@ def one_asset(b, c, atoms=()):
 
 def corner_box_instance():
     """Box of jump diffusions whose worst corner and optimum are known exactly."""
-    box = UncertaintyBox(
+    box = dict(
         b_intervals=np.array([[0.10, 0.12]]),
         c_scale=(0.03, 0.04),
         c_base=np.array([[1.0]]),
         atom_locations=np.array([[1.0]]),
         rate_intervals=np.array([[0.02, 0.03]]),
     )
-    theta = compile_box_to_vertices(box)
+    theta = compile_box_to_vertices(**box)
     feasible, compact = effective_domain(Polyhedron.box([(0.0, 3.0)]), theta)
     assert compact
     return theta, feasible
@@ -115,18 +114,23 @@ def test_projection_scales_outside_points_toward_the_origin():
         for _ in range(50):
             y = rng.uniform(-3.0, 3.0, region.d)
             proj = region.project(y)
-            if poly.contains(y, tol=0.0):
+            if poly.contains(y):
                 assert np.array_equal(proj, y)
                 continue
             outside += 1
-            assert poly.contains(proj, tol=0.0)
-            # reference: the largest scale keeping every halfspace, row by row,
-            # then the documented relative 1e-12 inward margin
+            assert poly.contains(proj)
+            # reference: a point past a face through the origin (offset <= 0)
+            # is first clipped into the bounding box; then the largest scale
+            # keeping every halfspace, row by row, and the documented
+            # relative 1e-12 inward margin
+            if any(value > offset and offset <= 0.0
+                   for value, offset in zip(poly.normals @ y, poly.offsets)):
+                y = np.clip(y, *poly.bounds)
             s = 1.0
             for value, offset in zip(poly.normals @ y, poly.offsets):
                 if value > offset:
                     s = min(s, offset / value)
-            assert 0.0 <= s < 1.0
+            assert 0.0 < s <= 1.0
             assert np.array_equal(proj, y * s * (1.0 - 1e-12))
             # the segment to the origin stays inside, so this point is kept
             assert np.array_equal(region.project(0.5 * proj), 0.5 * proj)
@@ -140,7 +144,7 @@ def test_corner_box_optimum():
     expected = 0.12 + 0.03 * (math.log(3.0) - 2.0)
     assert sol.robust_g == pytest.approx(expected, abs=1e-9)
     # worst vertex is the low-drift, high-diffusion, high-rate corner
-    assert int(np.argmax(sol.worst_vertex_weights)) == 3
+    assert sol.worst_vertex == 3
 
 
 def test_merton_closed_form():
@@ -320,12 +324,17 @@ def test_saddle_with_interior_mixture():
 
 
 def test_saddle_certifies_on_random_instances():
-    for seed in range(24):
-        theta, feasible, u = random_instance(4000 + seed)
-        cert = find_saddle(theta, feasible, u)
-        assert cert.passes(1e-7)
-        ok, details = verify_saddle(theta, feasible, u, cert, tol=1e-6)
-        assert ok, details
+    # the symmetric boxes of the first 24 seeds, and long-only boxes [0, r]^d
+    # on all 100, whose maximizers often lie on faces through the origin
+    for seed in range(100):
+        theta, symmetric, u = random_instance(4000 + seed)
+        d = theta.dimension
+        long_only, _ = effective_domain(Polyhedron.box([(0.0, BOX_RADIUS[d])] * d), theta)
+        for feasible in ((symmetric, long_only) if seed < 24 else (long_only,)):
+            cert = find_saddle(theta, feasible, u)
+            assert cert.passes(1e-7)
+            ok, details = verify_saddle(theta, feasible, u, cert, tol=1e-6)
+            assert ok, details
 
 
 def test_verify_saddle_rejects_an_off_optimum_candidate():
@@ -397,7 +406,7 @@ def test_verify_saddle_fails_a_singular_gradient():
     theta = UncertaintySet((one_asset(0.1, 0.04, [(0.2, (-1.0,))]),))
     feasible, _ = effective_domain(Polyhedron.box([(0.0, 2.0)]), theta)
     y = np.array([1.0])
-    assert feasible.contains(y, tol=0.0)
+    assert feasible.contains(y)
     value = float(GrowthModel(theta, u).vertex_values(y)[0])
     candidate = SaddleCertificate(
         y_hat=y, theta_hat_weights=np.array([1.0]), face_multipliers=np.zeros(feasible.m),
