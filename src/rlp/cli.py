@@ -3,7 +3,7 @@
 Five subcommands over one JSON model file:
 
 validate   load the model and report the derived checks
-solve      robust maximization, report the strategy and value
+solve      robust maximization, report the strategy, value and certificate
 saddle     extract and certify a worst-case mixture
 simulate   Monte Carlo at a given or solved strategy, against the closed form
 verify     saddle + independent recheck + Monte Carlo + martingale test
@@ -27,9 +27,9 @@ from .growth import worst_case_growth
 from .model_io import ProblemSpec, Report, emit_report, load_model
 from .optimizer import (
     SaddleCertificate,
+    certificate_at,
     find_saddle,
     maximize_robust,
-    optimality_residual,
     problem_value,
     verify_saddle,
 )
@@ -91,23 +91,22 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=_checked(float, lambda x: 0.0 < x < math.inf,
                                               "a positive finite number"),
                        default=1e-6, metavar="X",
-                       help="verification tolerance (default 1e-6)")
+                       help="certification or recheck tolerance (default 1e-6)")
     return parser
 
 
-def _solution_results(spec: ProblemSpec) -> dict:
+def _solution_results(spec: ProblemSpec, tol: float) -> dict:
     solution = maximize_robust(spec.theta, spec.feasible, spec.utility, spec.solver)
     value = problem_value(solution.robust_g, spec.utility, spec.x0, spec.horizon)
-    diagnostics = dict(solution.diagnostics)
-    if spec.dimension > 1:
-        diagnostics["kkt_residual"] = optimality_residual(
-            spec.theta, spec.feasible, spec.utility, solution.y_hat)
+    certificate = certificate_at(spec.theta, spec.feasible, spec.utility, solution.y_hat, tol)
     return {
         "y_hat": [float(v) for v in solution.y_hat],
         "robust_g": float(solution.robust_g),
         "value": float(value),
         "worst_vertex": solution.worst_vertex,
-        "diagnostics": diagnostics,
+        "gap": float(certificate.gap),
+        "certified": certificate.passes(tol),
+        "diagnostics": solution.diagnostics,
     }
 
 
@@ -148,7 +147,7 @@ def _pick_strategy(spec: ProblemSpec, flags: argparse.Namespace) -> tuple[np.nda
         if len(pi) != spec.dimension:
             raise ModelError(f"--pi needs {spec.dimension} component(s), got {len(pi)}")
         return pi, "user", {}
-    results = _solution_results(spec)
+    results = _solution_results(spec, flags.tol)
     return np.asarray(results["y_hat"]), "solved", results
 
 
@@ -164,7 +163,10 @@ def _cmd_validate(spec: ProblemSpec, flags: argparse.Namespace) -> tuple[dict, i
 
 
 def _cmd_solve(spec: ProblemSpec, flags: argparse.Namespace) -> tuple[dict, int, list]:
-    return _solution_results(spec), 0, []
+    results = _solution_results(spec, flags.tol)
+    if results["certified"]:
+        return results, 0, []
+    return results, 2, ["solve_uncertified"]
 
 
 def _cmd_saddle(spec: ProblemSpec, flags: argparse.Namespace) -> tuple[dict, int, list]:

@@ -6,13 +6,13 @@ no-bankruptcy halfspaces. Multidimensional problems run one smooth epigraph
 solve (SLSQP) on the most tightened level of the shrink schedule, and a
 second on the level before it only when the first maximizer leaves that
 level's set; one-dimensional problems use golden-section search directly.
-:func:`optimality_residual` gives a strategy's first-order residual, which
-the ``solve`` report carries for multidimensional problems. The saddle's
-mixture on the uncertainty simplex and its face multipliers come from a
-nonnegative least-squares fit of the stationarity condition at the
-maximizer. Concavity turns them into an upper bound on the game value by
-arithmetic alone (:func:`_dual_bound`); with the worst vertex value at the
-maximizer as the lower bound, the bracket certifies the pair.
+:func:`certificate_at` certifies a strategy, and every answer, ``solve``'s
+included, carries its certificate. The saddle's mixture on the uncertainty
+simplex and its face multipliers come from a nonnegative least-squares fit
+of the stationarity condition at the strategy. Concavity turns them into an
+upper bound on the game value by arithmetic alone (:func:`_bracket`); with
+the worst vertex value at the strategy as the lower bound, the bracket
+certifies the pair.
 """
 
 from __future__ import annotations
@@ -247,10 +247,9 @@ def maximize_robust(theta: UncertaintySet, feasible: Polyhedron, utility: Utilit
     previous level), and DidNotConvergeError is raised when the two values
     differ by more than value_tol. Earlier levels are subsets of these and
     could only lose. The diagnostics record each solved level's value,
-    SLSQP status and iteration count; the first-order residual of the
-    returned strategy is left to :func:`optimality_residual`, which the
-    ``solve`` report adds. Raises NotCompactError when the feasible set is
-    unbounded.
+    SLSQP status and iteration count; a nonzero status is not an error, as
+    the certificate (:func:`certificate_at`) judges the answer. Raises
+    NotCompactError when the feasible set is unbounded.
     """
     opts = opts or SolveOptions()
     model = GrowthModel(theta, utility)
@@ -339,84 +338,96 @@ def _stationarity_weights(model: GrowthModel, poly: Polyhedron, y: np.ndarray,
     return float(np.max(np.abs(system @ x))), weights, multipliers
 
 
-def _dual_bound(model: GrowthModel, feasible: Polyhedron, y: np.ndarray,
-                gvals: np.ndarray, weights: np.ndarray, multipliers: np.ndarray) -> float:
-    """Upper bound on the game value over the feasible polytope {x : N x <= o}
-    from a mixture w and face multipliers lam >= 0, by arithmetic alone.
+def _bracket(model: GrowthModel, feasible: Polyhedron, y, weights,
+             multipliers) -> tuple[float, float]:
+    """Bracket on the game value over the feasible polytope {x : N x <= o}
+    from a strategy y, a mixture w and face multipliers lam, by arithmetic
+    alone: returns (dual bound, worst vertex value at y).
 
-    Each vertex growth rate is concave, so the mixture f = sum_i w_i G_i lies
-    below its tangent plane at y, and for every feasible x
+    The bracket is sound only for y inside the polytope, w on the simplex and
+    finite lam >= 0, one per halfspace; otherwise it is (inf, -inf). Each
+    vertex growth rate is concave, so the mixture f = sum_i w_i G_i lies below
+    its tangent plane at y, and for every feasible x
 
         f(x) <= f(y) + lam . (o - N y) + ||g - N^T lam||_inf * ||x - y||_1,
 
     where g is the gradient of f at y (weak duality, the linearization bound
     behind the Frank-Wolfe duality gap). The last norm is at most
     sum_j max(hi_j - y_j, y_j - lo_j) over the polytope's cached bounding
-    box, and the game value is at most the maximum of f. Returns inf when a
-    gradient of the mixture is singular at y or the bound is not finite.
+    box, and the game value is at most the maximum of f. The dual bound is
+    inf where a mixture gradient is singular at y or the sum is not finite.
     """
+    y = np.asarray(y, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    multipliers = np.asarray(multipliers, dtype=float)
+    sound = (y.shape == (model.d,) and np.all(np.isfinite(y))
+             and feasible.contains(y)
+             and weights.shape == (model.k,) and np.all(weights >= 0.0)
+             and abs(weights.sum() - 1.0) <= 1e-12
+             and multipliers.shape == (feasible.m,) and np.all(np.isfinite(multipliers))
+             and np.all(multipliers >= 0.0))
+    if not sound:
+        return math.inf, -math.inf
+    gvals = model.vertex_values(y)
+    lower = float(np.min(gvals))
     support = np.flatnonzero(weights > 0.0)
     try:
         grads = np.array([model.gradient(i, y) for i in support])
     except AtSingularityError:
-        return math.inf
+        return math.inf, lower
     residual = weights[support] @ grads - feasible.normals.T @ multipliers
     slack = feasible.offsets - feasible.normals @ y
     lo, hi = feasible.bounds
     bound = (float(weights[support] @ gvals[support]) + float(multipliers @ slack)
              + float(np.max(np.abs(residual))) * float(np.sum(np.maximum(hi - y, y - lo))))
-    return bound if math.isfinite(bound) else math.inf
+    return (bound if math.isfinite(bound) else math.inf), lower
 
 
-def optimality_residual(theta: UncertaintySet, feasible: Polyhedron, utility: UtilitySpec,
-                        y: np.ndarray, atol: float | None = None) -> float:
-    """First-order optimality residual of y: the infinity-norm distance of the
-    least-squares active-vertex mixture gradient from the normal cone of the
-    polytope (see :func:`_stationarity_weights`); an upper bound on the
-    distance of the best such mixture."""
+def _residuals(value: float, upper: float, lower: float) -> tuple[float, float, float]:
+    """Distances of value from both bounds, and the bracket width; all inf unless finite."""
+    if not math.isfinite(value):
+        return math.inf, math.inf, math.inf
+    return upper - value, value - lower, upper - lower
+
+
+def certificate_at(theta: UncertaintySet, feasible: Polyhedron, utility: UtilitySpec,
+                   y: np.ndarray, tol: float) -> SaddleCertificate:
+    """The saddle certificate of strategy y at tolerance tol.
+
+    The mixture and the face multipliers are the least-squares stationarity
+    fit at y (:func:`_stationarity_weights`): the mixture's gradient lies in,
+    or as near as the fit gets to, the normal cone of the polytope there.
+    Vertices count as active within a quarter of tol, but never closer than
+    the solver's 1e-9 resolution (both relative to the worst value).
+    :func:`_bracket` bounds the game value from above and below; the
+    residuals are the distances of the mixture's value from the two bounds,
+    and the gap is the bracket's width (:func:`_residuals`). The certificate
+    passes at tol when all three are within it.
+    """
     model = GrowthModel(theta, utility)
     y = np.atleast_1d(np.asarray(y, dtype=float))
     gvals = model.vertex_values(y)
-    if atol is None:
-        atol = 1e-7 * (1.0 + abs(float(np.min(gvals))))
-    residual, _, _ = _stationarity_weights(model, feasible, y, gvals, atol)
-    return residual
+    gmin = float(np.min(gvals))
+    _, weights, multipliers = _stationarity_weights(
+        model, feasible, y, gvals, atol=max(0.25 * tol, 1e-9) * (1.0 + abs(gmin)))
+    support = weights > 0.0
+    value = float(weights[support] @ gvals[support])
+    upper, lower = _bracket(model, feasible, y, weights, multipliers)
+    return SaddleCertificate(y, weights, multipliers, value, *_residuals(value, upper, lower))
 
 
 def find_saddle(theta: UncertaintySet, feasible: Polyhedron, utility: UtilitySpec,
                 opts: SolveOptions | None = None,
                 certify_tol: float | None = None) -> SaddleCertificate:
-    """Solve for the strategy, then extract and certify a worst-case mixture.
-
-    The mixture and the face multipliers are the least-squares stationarity
-    fit at the maximizer (:func:`_stationarity_weights`): the mixture's
-    gradient lies in, or as near as the fit gets to, the normal cone of the
-    polytope there. Vertices count as active within a quarter of
-    certify_tol, but never closer than the solver's 1e-9 resolution (both
-    relative to the worst value). The dual bound of the pair and the worst
-    vertex value at the maximizer bracket the game value; certification
-    requires the bracket and both residuals within certify_tol, which
-    defaults to 10 * value_tol; otherwise SaddleNotCertifiedError carries the
-    candidate.
+    """Solve for the strategy and certify it (:func:`certificate_at`) at
+    certify_tol, which defaults to 10 * value_tol; an uncertified candidate
+    is raised with SaddleNotCertifiedError.
     """
     opts = opts or SolveOptions()
+    tol = 10.0 * opts.value_tol if certify_tol is None else float(certify_tol)
     solution = maximize_robust(theta, feasible, utility, opts)
-    model = GrowthModel(theta, utility)
-    y = solution.y_hat
-    gvals = model.vertex_values(y)
-    gmin = float(np.min(gvals))
-    tol_cert = 10.0 * opts.value_tol if certify_tol is None else float(certify_tol)
-    _, weights, multipliers = _stationarity_weights(
-        model, feasible, y, gvals, atol=max(0.25 * tol_cert, 1e-9) * (1.0 + abs(gmin)))
-    support = weights > 0.0
-    value = float(weights[support] @ gvals[support])
-    bound = _dual_bound(model, feasible, y, gvals, weights, multipliers)
-    certificate = SaddleCertificate(
-        y_hat=y, theta_hat_weights=weights, face_multipliers=multipliers, value=value,
-        residual_max_y=bound - value,
-        residual_min_theta=value - gmin,
-        gap=bound - solution.robust_g)
-    if certificate.passes(tol_cert):
+    certificate = certificate_at(theta, feasible, utility, solution.y_hat, tol)
+    if certificate.passes(tol):
         return certificate
     raise SaddleNotCertifiedError(
         "the stationarity mixture's residuals exceed the tolerance", certificate=certificate)
@@ -426,33 +437,19 @@ def verify_saddle(theta: UncertaintySet, feasible: Polyhedron, utility: UtilityS
                   candidate: SaddleCertificate, tol: float = 1e-6) -> tuple[bool, dict]:
     """Recheck a saddle candidate by bracketing the game value from its own numbers.
 
-    ``max_y``, the dual bound of the candidate's mixture and face multipliers
-    at its strategy (see :func:`_dual_bound`), is an upper bound on the value;
-    ``min_theta``, the worst vertex value at the candidate strategy, is a
-    lower bound. The candidate passes when both lie within tol of its value
-    and the bracket width ``gap`` = max_y - min_theta is within tol too. The
-    bounds hold only for a strategy inside the feasible polytope, weights on
-    the simplex, and finite nonnegative multipliers, one per halfspace; a
-    candidate that breaks any of these fails with max_y = inf and min_theta
-    = -inf, and so does one whose mixture gradient is singular.
+    ``max_y`` and ``min_theta`` are the candidate's bracket (see
+    :func:`_bracket`): the dual bound of its mixture and face multipliers at
+    its strategy, an upper bound on the value, and the worst vertex value at
+    its strategy, a lower bound. The candidate passes when both lie within
+    tol of its value and the bracket width ``gap`` = max_y - min_theta is
+    within tol too. An unsound candidate fails with max_y = inf and
+    min_theta = -inf, and one whose mixture gradient is singular with
+    max_y = inf.
     """
-    model = GrowthModel(theta, utility)
-    y = np.asarray(candidate.y_hat, dtype=float)
-    weights = np.asarray(candidate.theta_hat_weights, dtype=float)
-    multipliers = np.asarray(candidate.face_multipliers, dtype=float)
-    sound = (y.shape == (model.d,) and np.all(np.isfinite(y))
-             and feasible.contains(y)
-             and weights.shape == (model.k,) and np.all(weights >= 0.0)
-             and abs(weights.sum() - 1.0) <= 1e-12
-             and multipliers.shape == (feasible.m,) and np.all(np.isfinite(multipliers))
-             and np.all(multipliers >= 0.0))
-    max_y, min_theta = math.inf, -math.inf
-    if sound:
-        gvals = model.vertex_values(y)
-        max_y = _dual_bound(model, feasible, y, gvals, weights, multipliers)
-        min_theta = float(np.min(gvals))
-    checks = {"max_y": max_y, "min_theta": min_theta}
-    residuals = {name: abs(value - candidate.value) for name, value in checks.items()}
-    residuals["gap"] = max_y - min_theta
+    max_y, min_theta = _bracket(GrowthModel(theta, utility), feasible, candidate.y_hat,
+                                candidate.theta_hat_weights, candidate.face_multipliers)
+    above, below, gap = _residuals(candidate.value, max_y, min_theta)
+    residuals = {"max_y": abs(above), "min_theta": abs(below), "gap": gap}
     ok = all(abs(r) <= tol for r in residuals.values())
-    return ok, {"checks": checks, "residuals": residuals, "tolerance": tol}
+    return ok, {"checks": {"max_y": max_y, "min_theta": min_theta},
+                "residuals": residuals, "tolerance": tol}

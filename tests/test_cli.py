@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rlp import load_model, optimality_residual
+from rlp import certificate_at, load_model
 from rlp.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -100,6 +100,7 @@ def test_simulate_solves_when_no_strategy_is_given(capsys):
     results = report["results"]
     assert results["pi_source"] == "solved"
     assert results["solve"]["y_hat"][0] == pytest.approx(3.0, abs=1e-6)
+    assert results["solve"]["certified"] is True
     assert results["within_3p5_sigma"] is True
 
 
@@ -242,7 +243,8 @@ def test_the_bundled_two_asset_model_solves_and_verifies(capsys):
     assert status == 0
     results = report["results"]
     assert results["diagnostics"]["method"] == "slsqp-epigraph"
-    assert results["diagnostics"]["kkt_residual"] <= 1e-8
+    assert results["certified"] is True
+    assert 0.0 <= results["gap"] <= 1e-8
     status, report = run_json(capsys, ["saddle", "--model", TWO_ASSET])
     assert status == 0
     results = report["results"]
@@ -321,18 +323,21 @@ def test_malformed_models_exit_1_with_an_error_report(capsys, tmp_path, model, c
     assert where in error["message"]
 
 
-def test_solve_reports_the_kkt_residual_in_two_dimensions(capsys, tmp_path):
+def test_solve_reports_its_certificate_in_two_dimensions(capsys, tmp_path):
     path = write_model(tmp_path, json.dumps(two_asset_model()))
-    status, report = run_json(capsys, ["solve", "--model", path])
+    status, report = run_json(capsys, ["solve", "--model", path, "--tol", "1e-7"])
     assert status == 0
     results = report["results"]
     spec = load_model(path)
-    residual = optimality_residual(spec.theta, spec.feasible, spec.utility,
-                                   np.array(results["y_hat"]))
-    assert results["diagnostics"]["kkt_residual"] == residual
-    status, report = run_json(capsys, ["simulate", "--model", path, "--paths", "500"])
+    certificate = certificate_at(spec.theta, spec.feasible, spec.utility,
+                                 np.array(results["y_hat"]), 1e-7)
+    assert results["gap"] == certificate.gap
+    assert results["certified"] is True
+    status, report = run_json(capsys, ["simulate", "--model", path, "--paths", "500",
+                                       "--tol", "1e-7"])
     assert status == 0
-    assert report["results"]["solve"]["diagnostics"]["kkt_residual"] == residual
+    solved = report["results"]["solve"]
+    assert (solved["gap"], solved["certified"]) == (certificate.gap, True)
 
 
 def test_solver_seed_has_no_effect_in_two_dimensions(capsys, tmp_path):
@@ -348,7 +353,8 @@ def test_solver_seed_has_no_effect_in_two_dimensions(capsys, tmp_path):
     assert seeded["results"]["diagnostics"]["method"] == "slsqp-epigraph"
 
 
-def test_uncertified_saddle_exits_2(capsys, tmp_path):
+@pytest.mark.parametrize("command", ["saddle", "solve"])
+def test_uncertified_saddle_exits_2(capsys, tmp_path, command):
     # the worst case switches vertices exactly at the optimum, so the
     # kink location limits the attainable residuals
     model = {
@@ -366,14 +372,34 @@ def test_uncertified_saddle_exits_2(capsys, tmp_path):
     path = tmp_path / "kink.json"
     path.write_text(json.dumps(model))
     status, report = run_json(
-        capsys, ["saddle", "--model", str(path), "--tol", "1e-15"])
+        capsys, [command, "--model", str(path), "--tol", "1e-15"])
     assert status == 2
     assert report["status"] == 2
-    assert "saddle_uncertified" in report["provenance"]
+    assert f"{command}_uncertified" in report["provenance"]
     results = report["results"]
     assert results["certified"] is False
-    assert "reason" in results
+    assert results["gap"] > 1e-15
+    assert ("reason" in results) == (command == "saddle")
     # the candidate itself is still sound at practical tolerances
     y_star = 0.04 / 0.0145
     assert results["value"] == pytest.approx(
         0.02 * y_star - 0.0005 * y_star ** 2, abs=1e-8)
+
+
+def test_solve_exits_2_on_a_collapsed_answer(capsys, tmp_path):
+    # the long-only model's vertices on the line y_1 + y_2 = 0, written as
+    # two faces through the origin: SLSQP's point ends a rounding error past
+    # one of them and scales to the origin, while (0.625, -0.625) earns 0.015625
+    model = json.loads(Path(LONG_ONLY).read_text())
+    model["C"] = {"box": [[-1.0, 1.0], [-1.0, 1.0]], "halfspaces": [
+        {"normal": [1.0, 1.0], "offset": 0.0},
+        {"normal": [-1.0, -1.0], "offset": 0.0},
+    ]}
+    path = write_model(tmp_path, json.dumps(model))
+    status, report = run_json(capsys, ["solve", "--model", path])
+    assert status == 2
+    assert "solve_uncertified" in report["provenance"]
+    results = report["results"]
+    assert results["certified"] is False
+    assert results["gap"] == pytest.approx(0.05, abs=1e-9)
+    assert results["y_hat"] == [0.0, 0.0]

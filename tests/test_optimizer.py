@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from rlp import (
     DidNotConvergeError,
@@ -14,23 +16,24 @@ from rlp import (
     LevyTriplet,
     NotCompactError,
     Polyhedron,
+    RlpError,
     SaddleCertificate,
     SaddleNotCertifiedError,
     SolveOptions,
     UncertaintySet,
     UtilitySpec,
+    certificate_at,
     compile_box_to_vertices,
     effective_domain,
     find_saddle,
     load_model,
     maximize_robust,
-    optimality_residual,
     problem_value,
     verify_saddle,
 )
 from rlp.optimizer import FeasibleRegion, _stationarity_weights, golden_max
 
-from helpers_instances import BOX_RADIUS, random_instance
+from helpers_instances import BOX_RADIUS, random_instance, random_triplet, random_utility
 from helpers_oracle import mixture_min, response_region, single_max
 
 LOG = UtilitySpec.log_utility()
@@ -293,7 +296,8 @@ def test_multidimensional_solutions_report_their_certificate():
         solution = maximize_robust(theta, feasible, u, opts)
         diagnostics = solution.diagnostics
         assert diagnostics["method"] == "slsqp-epigraph"
-        assert optimality_residual(theta, feasible, u, solution.y_hat) <= opts.value_tol
+        assert certificate_at(theta, feasible, u, solution.y_hat,
+                              opts.value_tol).passes(opts.value_tol)
         levels = diagnostics["levels"]
         assert len(levels) == diagnostics["levels_run"] == 1
         assert diagnostics["implied"] == [opts.shrink_schedule[-2]]
@@ -442,10 +446,72 @@ def test_dual_bound_dominates_best_responses_and_grows_with_the_multipliers():
             assert moved["checks"]["max_y"] >= bound
 
 
-def test_optimality_residual_separates_optimum_from_rest():
+def test_certificate_at_separates_optimum_from_rest():
     theta, feasible = corner_box_instance()
-    assert optimality_residual(theta, feasible, LOG, np.array([2.0])) < 1e-9
-    assert optimality_residual(theta, feasible, LOG, np.array([1.0])) > 1e-3
+    assert certificate_at(theta, feasible, LOG, np.array([2.0]), 1e-9).passes(1e-9)
+    off = certificate_at(theta, feasible, LOG, np.array([1.0]), 1e-9)
+    assert off.gap > 1e-3 and not off.passes(1e-3)
+
+
+def test_certificate_at_is_infinite_past_the_bankruptcy_boundary():
+    # a short position of 1.5 goes bankrupt at the box model's +1 jump, so the
+    # value is -inf and no residual may come out NaN, nor the recheck's
+    spec = load_model(str(TWO_ASSET.parent / "box_log_jump.json"))
+    cert = certificate_at(spec.theta, spec.feasible, spec.utility, np.array([-1.5]), 1e-6)
+    assert cert.value == -math.inf
+    assert cert.residual_max_y == cert.residual_min_theta == cert.gap == math.inf
+    assert not cert.passes(1e-6)
+    ok, details = verify_saddle(spec.theta, spec.feasible, spec.utility, cert)
+    assert not ok
+    assert details["residuals"] == {"max_y": math.inf, "min_theta": math.inf, "gap": math.inf}
+
+
+def random_polytope_game(rng: np.random.Generator):
+    """(theta, feasible, utility, axis-aligned?) with d, k <= 4 on the box of
+    radius 0.75 / sqrt(d), to which half the d >= 2 draws add one or two
+    random faces, each through the origin with probability 1/2."""
+    d = int(rng.integers(1, 5))
+    k = int(rng.integers(1, 5))
+    theta = UncertaintySet(tuple(random_triplet(rng, d, int(rng.integers(0, 3)))
+                                 for _ in range(k)))
+    radius = 0.75 / math.sqrt(d)
+    constraints = Polyhedron.box([(-radius, radius)] * d)
+    axis_aligned = not (d >= 2 and rng.uniform() < 0.5)
+    if not axis_aligned:
+        m = int(rng.integers(1, 3))
+        normals = rng.normal(size=(m, d))
+        offsets = np.where(rng.uniform(size=m) < 0.5, 0.0, rng.uniform(0.0, 0.3, m))
+        constraints = constraints.intersect(Polyhedron(normals, offsets))
+    utility = random_utility(rng)
+    feasible, compact = effective_domain(constraints, theta)
+    assert compact
+    return theta, feasible, utility, axis_aligned
+
+
+@seed(20261019)
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1))
+@example(109)  # the solver's point lies 6.4e-19 past a face through the origin
+def test_a_passing_certificate_is_never_beaten(case_seed):
+    rng = np.random.default_rng(case_seed)
+    theta, feasible, u, axis_aligned = random_polytope_game(rng)
+    try:
+        solution = maximize_robust(theta, feasible, u)
+    except RlpError:
+        return
+    cert = certificate_at(theta, feasible, u, solution.y_hat, 1e-6)
+    fields = (cert.y_hat, cert.theta_hat_weights, cert.face_multipliers, cert.value,
+              cert.residual_max_y, cert.residual_min_theta, cert.gap)
+    assert not any(np.any(np.isnan(f)) for f in fields)
+    assert cert.passes(1e-6) or not axis_aligned
+    if not cert.passes(1e-6):
+        return
+    ok, details = verify_saddle(theta, feasible, u, cert, tol=1e-6)
+    assert ok, details
+    lo, hi = feasible.bounds
+    samples = [y for y in rng.uniform(lo, hi, (500, theta.dimension)) if feasible.contains(y)]
+    model = GrowthModel(theta, u)
+    assert all(model.robust_value(y) <= solution.robust_g + 1e-6 for y in samples)
 
 
 def test_stationarity_mixture_at_a_one_dimensional_kink():
