@@ -110,10 +110,14 @@ class GrowthModel:
         return vals
 
     def robust(self, y: np.ndarray) -> tuple[float, int]:
-        """Worst-case growth rate and the index of the attaining vertex (first on ties)."""
+        """Worst-case growth rate and the first vertex within a relative 1e-9
+        of it, the certificate's resolution floor, so rounding breaks no tie."""
         vals = self.vertex_values(y)
         idx = int(np.argmin(vals))
-        return float(vals[idx]), idx
+        low = float(vals[idx])
+        if np.isfinite(low):
+            idx = int(np.argmax(vals <= low + 1e-9 * (1.0 + abs(low))))
+        return low, idx
 
     def robust_value(self, y: np.ndarray) -> float:
         return self.robust(y)[0]

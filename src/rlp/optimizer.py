@@ -97,33 +97,35 @@ class SaddleCertificate:
 
 class FeasibleRegion:
     """A constraint polyhedron that contains the origin, with a projection
-    helper that pulls solver output back inside."""
+    that pulls solver output back inside."""
 
     def __init__(self, poly: Polyhedron):
         self.poly = poly
         self.d = poly.dimension
 
     def project(self, y: np.ndarray) -> np.ndarray:
-        """Return y when inside, else y scaled toward the origin until every
-        halfspace holds, with a relative 1e-12 inward margin. The origin is
-        feasible because every offset is nonnegative.
-
-        A violated row with offset <= 0 is a face through the origin, where
-        scaling would give the origin itself however small the violation; y
-        is first clipped into the cached bounding box, which puts a point a
-        rounding error past an axis face back on that face."""
+        """The point of the polyhedron {x : N x <= o} nearest to y, y itself
+        when inside: the least-distance step min |x| s.t. N (y + x) <= o from
+        one NNLS (Lawson and Hanson, ch. 23) on h = N y - o scaled to max 1,
+        solved again once with every face pulled a relative 1e-12 inward when
+        rounding leaves its point outside, and else the origin."""
         y = np.asarray(y, dtype=float)
         poly = self.poly
         if poly.contains(y):
             return y
-        vals = poly.normals @ y
-        outside = vals > poly.offsets
-        if np.any(poly.offsets[outside] <= 0.0):
-            y = np.clip(y, *poly.bounds)
-            vals = poly.normals @ y
-            outside = vals > poly.offsets
-        scale = float(np.min(poly.offsets[outside] / vals[outside], initial=1.0))
-        return y * scale * (1.0 - 1e-12)
+        target = np.eye(self.d + 1)[-1]
+        for inward in (0.0, 1e-12):
+            h = poly.normals @ y - poly.offsets + inward * (1.0 + np.abs(poly.offsets))
+            scale = float(np.max(h))
+            system = np.vstack([-poly.normals.T, h / scale])
+            try:
+                u, _ = nnls(system, target)
+            except (ValueError, RuntimeError):  # non-finite input, or no convergence
+                continue
+            r = system @ u
+            if r[-1] < 1.0 and poly.contains(x := y + r[:-1] * (scale / (1.0 - r[-1]))):
+                return x
+        return np.zeros(self.d)
 
 
 def golden_max(fun, lo: float, hi: float, xtol: float = 1e-11) -> tuple[float, float]:
@@ -190,8 +192,8 @@ def _slsqp_max(model: GrowthModel, region: FeasibleRegion, y0: np.ndarray,
     G_j(y) >= t for each vertex's smoothed growth rate G_j, and y in the
     region. With one vertex this is the maximization of G_1 itself.
 
-    Returns the solution, scaled back into the region when SLSQP ends just
-    outside it, and the raw SLSQP result.
+    Returns the solution, moved to the region's nearest point when SLSQP
+    ends just outside it, and the raw SLSQP result.
     """
     d = region.d
     poly = region.poly

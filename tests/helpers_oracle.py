@@ -1,9 +1,10 @@
-"""Independent minimax oracle: best responses and Kelley's cutting planes.
+"""Independent oracles: best responses, Kelley's cutting planes, nearest points.
 
 The library certifies a saddle by a dual bound at its own solution. These
 helpers solve the mixture player's side of the game separately, by repeated
 best responses, so criterion 3 and the bound tests compare the library
-against a second computation.
+against a second computation; :func:`nearest_point` does the same for the
+library's least-distance projection.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linprog, minimize
 
 from rlp import (
     GrowthModel,
@@ -96,3 +97,15 @@ def mixture_min(theta: UncertaintySet, feasible: Polyhedron,
         if upper - lower <= KELLEY_RTOL * (1.0 + abs(upper)):
             break
     return lower, upper, best
+
+
+def nearest_point(poly: Polyhedron, y: np.ndarray) -> np.ndarray:
+    """The point of poly nearest to y, by SLSQP on half the squared distance,
+    started at the origin, which every polytope here contains."""
+    y = np.asarray(y, dtype=float)
+    faces = {"type": "ineq", "fun": lambda x: poly.offsets - poly.normals @ x,
+             "jac": lambda x: -poly.normals}
+    res = minimize(lambda x: 0.5 * float((x - y) @ (x - y)), np.zeros_like(y),
+                   jac=lambda x: x - y, method="SLSQP", constraints=[faces],
+                   options={"maxiter": 500, "ftol": 1e-16})
+    return res.x

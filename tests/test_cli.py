@@ -16,6 +16,7 @@ BOX = str(ROOT / "models" / "box_log_jump.json")
 MERTON = str(ROOT / "models" / "merton_power.json")
 TWO_ASSET = str(ROOT / "models" / "two_asset_log.json")
 LONG_ONLY = str(ROOT / "models" / "long_only_log.json")
+MARKET_NEUTRAL = str(ROOT / "models" / "market_neutral_log.json")
 
 
 def run(capsys, argv):
@@ -386,20 +387,16 @@ def test_uncertified_saddle_exits_2(capsys, tmp_path, command):
         0.02 * y_star - 0.0005 * y_star ** 2, abs=1e-8)
 
 
-def test_solve_exits_2_on_a_collapsed_answer(capsys, tmp_path):
-    # the long-only model's vertices on the line y_1 + y_2 = 0, written as
-    # two faces through the origin: SLSQP's point ends a rounding error past
-    # one of them and scales to the origin, while (0.625, -0.625) earns 0.015625
-    model = json.loads(Path(LONG_ONLY).read_text())
-    model["C"] = {"box": [[-1.0, 1.0], [-1.0, 1.0]], "halfspaces": [
-        {"normal": [1.0, 1.0], "offset": 0.0},
-        {"normal": [-1.0, -1.0], "offset": 0.0},
-    ]}
-    path = write_model(tmp_path, json.dumps(model))
-    status, report = run_json(capsys, ["solve", "--model", path])
-    assert status == 2
-    assert "solve_uncertified" in report["provenance"]
+def test_the_bundled_market_neutral_model_solves_on_its_face(capsys):
+    # the long-only model's vertices on the line y_1 + y_2 = 0, written as two
+    # faces through the origin: on y = (t, -t) vertex 1 is worst, and its
+    # growth 0.05 t - 0.04 t^2 peaks at t = 0.625 with value 0.015625
+    status, report = run_json(capsys, ["solve", "--model", MARKET_NEUTRAL])
+    assert status == 0
     results = report["results"]
-    assert results["certified"] is False
-    assert results["gap"] == pytest.approx(0.05, abs=1e-9)
-    assert results["y_hat"] == [0.0, 0.0]
+    assert results["y_hat"] == pytest.approx([0.625, -0.625], abs=1e-7)
+    assert results["robust_g"] == pytest.approx(0.015625, abs=1e-9)
+    assert results["certified"] is True
+    status, report = run_json(capsys, ["saddle", "--model", MARKET_NEUTRAL])
+    assert status == 0
+    assert report["results"]["certified"] is True
