@@ -69,44 +69,41 @@ def jump_integrand(y: np.ndarray, z: np.ndarray, utility: UtilitySpec) -> float:
 class GrowthModel:
     """Vectorized growth-rate evaluator over the vertices of an uncertainty set.
 
-    Precomputes stacked drift, diffusion, and flattened atom arrays so the
-    per-vertex values at a strategy y come out of a handful of numpy calls.
+    Reads the set's stacked drift, diffusion and atom arrays (see
+    :class:`UncertaintySet`), so the per-vertex values at a strategy y come
+    out of a handful of numpy calls over the m distinct atoms: ``rates`` is
+    the (m, k) table of rates per atom and vertex.
     """
 
     def __init__(self, theta: UncertaintySet, utility: UtilitySpec):
         self.theta = theta
         self.utility = utility
         self.p = utility.p
-        verts = theta.vertices
-        self.k = len(verts)
+        self.k = len(theta)
         self.d = theta.dimension
-        self.drifts = np.array([v.b for v in verts])
-        self.diffusions = np.array([v.c for v in verts])
-        locs, rates, owner = [], [], []
-        for i, v in enumerate(verts):
-            if v.jumps.m:
-                locs.append(v.jumps.locations)
-                rates.append(v.jumps.rates)
-                owner.append(np.full(v.jumps.m, i, dtype=int))
-        if locs:
-            self.locations = np.concatenate(locs, axis=0)
-            self.rates = np.concatenate(rates)
-            self.owner = np.concatenate(owner)
-        else:
-            self.locations = np.zeros((0, self.d))
-            self.rates = np.zeros(0)
-            self.owner = np.zeros(0, dtype=int)
+        self.drifts = theta.drifts
+        self.diffusions = theta.diffusions
+        self.locations = theta.locations
+        self.rates = theta.rates
         self.truncated = truncation(self.locations)
-        self._atom_idx = [np.flatnonzero(self.owner == i) for i in range(self.k)]
+
+    def _per_vertex(self, terms: np.ndarray) -> np.ndarray:
+        """Rate-weighted sums of the per-atom terms, one per vertex; an atom a
+        vertex lacks adds nothing there, even where its term is -inf."""
+        return (self.rates * np.where(self.rates != 0.0, terms[:, None], 0.0)).sum(axis=0)
+
+    def _atoms(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rates, locations and truncated locations of the atoms vertex i carries."""
+        idx = np.flatnonzero(self.rates[:, i])
+        return self.rates[idx, i], self.locations[idx], self.truncated[idx]
 
     def vertex_values(self, y: np.ndarray) -> np.ndarray:
         """Growth rates of all vertices at y, shape (k,), entries in [-inf, inf)."""
         y = np.asarray(y, dtype=float)
         vals = self.drifts @ y + 0.5 * (self.p - 1.0) * ((self.diffusions @ y) @ y)
         if len(self.rates):
-            terms = _jump_terms(self.locations @ y, self.truncated @ y, self.p)
-            vals = vals + np.bincount(self.owner, weights=self.rates * terms,
-                                      minlength=self.k)
+            vals = vals + self._per_vertex(
+                _jump_terms(self.locations @ y, self.truncated @ y, self.p))
         return vals
 
     def robust(self, y: np.ndarray) -> tuple[float, int]:
@@ -127,11 +124,10 @@ class GrowthModel:
         y = np.asarray(y, dtype=float)
         drift = float(self.drifts[i] @ y)
         diffusion = 0.5 * (self.p - 1.0) * float(y @ self.diffusions[i] @ y)
-        idx = self._atom_idx[i]
+        rates, locations, truncated = self._atoms(i)
         jump = 0.0
-        if len(idx):
-            terms = _jump_terms(self.locations[idx] @ y, self.truncated[idx] @ y, self.p)
-            jump = float(self.rates[idx] @ terms)
+        if len(rates):
+            jump = float(rates @ _jump_terms(locations @ y, truncated @ y, self.p))
         return GrowthEvaluation(drift + diffusion + jump, drift, diffusion, jump)
 
     def gradient(self, i: int, y: np.ndarray) -> np.ndarray:
@@ -142,15 +138,14 @@ class GrowthModel:
         """
         y = np.asarray(y, dtype=float)
         grad = self.drifts[i] + (self.p - 1.0) * (self.diffusions[i] @ y)
-        idx = self._atom_idx[i]
-        if len(idx):
-            s = self.locations[idx] @ y
+        rates, locations, truncated = self._atoms(i)
+        if len(rates):
+            s = locations @ y
             if np.any(s <= -1.0 + SINGULARITY_TOL):
                 raise AtSingularityError(
                     "gradient undefined where a jump factor 1 + y . z hits zero")
             slope = _phi(s, self.p)[1]
-            grad = grad + self.rates[idx] @ (self.locations[idx] * slope[:, None]
-                                             - self.truncated[idx])
+            grad = grad + rates @ (locations * slope[:, None] - truncated)
         return grad
 
     def smoothed(self, y: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
@@ -168,13 +163,8 @@ class GrowthModel:
             s = self.locations @ y
             base, slope = _phi(np.maximum(s, floor), self.p)
             terms = base + slope * np.minimum(s - floor, 0.0) - self.truncated @ y
-            vals = vals + np.bincount(self.owner, weights=self.rates * terms,
-                                      minlength=self.k)
-            contrib = self.rates[:, None] * (self.locations * slope[:, None]
-                                             - self.truncated)
-            jump_grads = np.zeros((self.k, self.d))
-            np.add.at(jump_grads, self.owner, contrib)
-            grads = grads + jump_grads
+            vals = vals + self._per_vertex(terms)
+            grads = grads + self.rates.T @ (self.locations * slope[:, None] - self.truncated)
         return vals, grads
 
 

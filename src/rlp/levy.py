@@ -190,7 +190,14 @@ def validate_triplet(triplet: LevyTriplet) -> list[str]:
 
 @dataclass(frozen=True, eq=False)
 class UncertaintySet:
-    """Polytope of plausible triplets, stored by its vertex list."""
+    """Polytope of plausible triplets, stored by its vertex list and stacked
+    once into the atom table that growth evaluation, mixing and the
+    no-bankruptcy faces read: ``drifts`` (k, d), ``diffusions`` (k, d, d),
+    the distinct jump ``locations`` (m, d) in order of first appearance,
+    merged by value so that (z, -0.0) and (z, 0.0) are one atom, and
+    ``rates`` (m, k), summed over repeated listings and zero where a vertex
+    lacks an atom.
+    """
 
     vertices: tuple[LevyTriplet, ...]
 
@@ -199,9 +206,20 @@ class UncertaintySet:
         if not vertices:
             raise ValueError("an uncertainty set needs at least one vertex")
         d = vertices[0].dimension
-        if any(v.dimension != d for v in vertices):
+        if any(v.dimension != d or v.jumps.dimension != d for v in vertices):
             raise ValueError("all vertices must share one dimension")
+        listed = np.concatenate([v.jumps.locations for v in vertices])
+        owner = np.repeat(np.arange(len(vertices)), [v.jumps.m for v in vertices])
+        _, first, atom = np.unique(listed, axis=0, return_index=True, return_inverse=True)
+        rates = np.zeros((len(first), len(vertices)))
+        # np.unique sorts the distinct atoms; the table keeps first appearance
+        np.add.at(rates, (np.argsort(np.argsort(first))[atom.ravel()], owner),
+                  np.concatenate([v.jumps.rates for v in vertices]))
         object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "drifts", _readonly([v.b for v in vertices]))
+        object.__setattr__(self, "diffusions", _readonly([v.c for v in vertices]))
+        object.__setattr__(self, "locations", _readonly(listed[np.sort(first)]))
+        object.__setattr__(self, "rates", _readonly(rates))
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -211,17 +229,17 @@ class UncertaintySet:
         return self.vertices[0].dimension
 
     def atom_locations(self) -> np.ndarray:
-        """Distinct jump locations across all vertices, as an (m, d) array."""
-        stacks = [v.jumps.locations for v in self.vertices if v.jumps.m]
-        if not stacks:
-            return np.zeros((0, self.dimension))
-        return np.unique(np.concatenate(stacks, axis=0), axis=0)
+        """The distinct jump locations in lexicographic order, as an (m, d) array."""
+        return self.locations[np.lexsort(self.locations.T[::-1])]
 
     def mix(self, weights: Sequence[float]) -> LevyTriplet:
-        """Convex combination of the vertices; equal atom locations merge their rates."""
+        """Convex combination of the vertices; its atoms are the table's atoms
+        that keep a positive rate, in table order."""
         w = np.asarray(weights, dtype=float)
         if len(w) != len(self.vertices):
             raise ValueError("one weight per vertex is required")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("mixture weights must be finite")
         if np.any(w < -1e-12):
             raise ValueError("mixture weights must be nonnegative")
         w = np.clip(w, 0.0, None)
@@ -229,18 +247,9 @@ class UncertaintySet:
         if s <= 0.0:
             raise ValueError("mixture weights must not all vanish")
         w = w / s
-        b = sum(wi * v.b for wi, v in zip(w, self.vertices))
-        c = sum(wi * v.c for wi, v in zip(w, self.vertices))
-        acc: dict[bytes, tuple[np.ndarray, float]] = {}
-        for wi, v in zip(w, self.vertices):
-            if wi == 0.0:
-                continue
-            for rate, z in zip(v.jumps.rates, v.jumps.locations):
-                key = z.tobytes()
-                old = acc.get(key)
-                acc[key] = (z, (old[1] if old else 0.0) + wi * float(rate))
-        atoms = [(r, z) for z, r in acc.values() if r > 0.0]
-        return LevyTriplet(b, c, JumpMeasure.from_atoms(atoms, dimension=self.dimension))
+        rates = self.rates @ w
+        return LevyTriplet(w @ self.drifts, np.tensordot(w, self.diffusions, axes=1),
+                           JumpMeasure(rates[rates > 0.0], self.locations[rates > 0.0]))
 
 
 @dataclass(frozen=True)
@@ -296,20 +305,17 @@ def characteristics_bound(theta: UncertaintySet, utility: UtilitySpec) -> float:
     finite, which the atom representation guarantees.
     """
     p = utility.p
-    best = 0.0
-    for v in theta.vertices:
-        total = float(np.linalg.norm(v.b)) + float(np.linalg.norm(v.c, ord="fro"))
-        if v.jumps.m:
-            norms = np.linalg.norm(v.jumps.locations, axis=1)
-            if p == 0.0:
-                w = np.log1p(norms)
-            elif p > 0.0:
-                w = norms ** (p * (1.0 + utility.epsilon))
-            else:
-                w = np.ones_like(norms)
-            total += float(v.jumps.rates @ np.minimum(norms ** 2, w))
-        best = max(best, total)
-    return best
+    norms = np.linalg.norm(theta.locations, axis=1)
+    if p == 0.0:
+        w = np.log1p(norms)
+    elif p > 0.0:
+        w = norms ** (p * (1.0 + utility.epsilon))
+    else:
+        w = np.ones_like(norms)
+    totals = (np.linalg.norm(theta.drifts, axis=1)
+              + np.linalg.norm(theta.diffusions, axis=(1, 2))
+              + np.minimum(norms ** 2, w) @ theta.rates)
+    return float(totals.max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -405,17 +411,16 @@ class Polyhedron:
 def natural_constraints(theta: UncertaintySet, n: int | None = None) -> Polyhedron:
     """No-bankruptcy halfspaces induced by the jump atoms.
 
-    One halfspace -z . y <= 1 per distinct atom location z across all
-    vertices, keeping every jump factor 1 + y . z nonnegative. With ``n``
-    given, the tightened version -z . y <= 1 - 1/n is returned instead; these
-    sets increase to the untightened one as n grows.
+    One halfspace -z . y <= 1 per distinct location z of the set's atom
+    table, in lexicographic order (:meth:`UncertaintySet.atom_locations`),
+    keeping every jump factor 1 + y . z nonnegative. With ``n`` given, the
+    tightened version -z . y <= 1 - 1/n is returned instead; these sets
+    increase to the untightened one as n grows.
     """
     if n is not None and n < 1:
         raise ValueError("n must be a positive integer")
     locations = theta.atom_locations()
     offset = 1.0 if n is None else 1.0 - 1.0 / n
-    if len(locations) == 0:
-        return Polyhedron.whole_space(theta.dimension)
     return Polyhedron(-locations, np.full(len(locations), offset))
 
 

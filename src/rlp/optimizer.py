@@ -296,16 +296,15 @@ def maximize_robust(theta: UncertaintySet, feasible: Polyhedron, utility: Utilit
 
 
 def _stationarity_weights(model: GrowthModel, poly: Polyhedron, y: np.ndarray,
-                          gvals: np.ndarray, atol: float) -> tuple[float, np.ndarray, np.ndarray]:
+                          gvals: np.ndarray, atol: float) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares search for an active-vertex mixture whose gradient lies in
     the normal cone of the active faces.
 
     Nonnegative least squares (Lawson-Hanson) fits the mixture weights w and
     face multipliers lam to G^T w - N^T lam = 0, with one extra row
     rho * sum(w) = rho, rho = 1 + max |G|, that holds the weights near the
-    simplex; both are then divided by sum(w). Returns the infinity-norm
-    residual of that pair, the mixture, and the face multipliers (one per row
-    of poly, zero on the inactive rows).
+    simplex; both are then divided by sum(w). Returns the mixture and the
+    face multipliers (one per row of poly, zero on the inactive rows).
     """
     k = model.k
     gmin = float(np.min(gvals))
@@ -313,12 +312,12 @@ def _stationarity_weights(model: GrowthModel, poly: Polyhedron, y: np.ndarray,
     fallback[int(np.argmin(gvals))] = 1.0
     multipliers = np.zeros(poly.m)
     if not math.isfinite(gmin):
-        return math.inf, fallback, multipliers
+        return fallback, multipliers
     active_v = np.flatnonzero(gvals <= gmin + atol)
     try:
         grads = np.array([model.gradient(i, y) for i in active_v])
     except AtSingularityError:
-        return math.inf, fallback, multipliers
+        return fallback, multipliers
     slack = poly.offsets - poly.normals @ y
     active_f = np.flatnonzero(np.abs(slack) <= 1e-8 * (1.0 + np.abs(poly.offsets)))
     na = len(active_v)
@@ -329,15 +328,15 @@ def _stationarity_weights(model: GrowthModel, poly: Polyhedron, y: np.ndarray,
     try:
         x, _ = nnls(np.vstack([system, simplex_row]), target)
     except (ValueError, RuntimeError):  # a non-finite gradient, or no convergence
-        return math.inf, fallback, multipliers
+        return fallback, multipliers
     total = float(x[:na].sum())
     if not total > 0.0:
-        return math.inf, fallback, multipliers
+        return fallback, multipliers
     x /= total
     weights = np.zeros(k)
     weights[active_v] = x[:na]
     multipliers[active_f] = x[na:]
-    return float(np.max(np.abs(system @ x))), weights, multipliers
+    return weights, multipliers
 
 
 def _bracket(model: GrowthModel, feasible: Polyhedron, y, weights,
@@ -410,7 +409,7 @@ def certificate_at(theta: UncertaintySet, feasible: Polyhedron, utility: Utility
     y = np.atleast_1d(np.asarray(y, dtype=float))
     gvals = model.vertex_values(y)
     gmin = float(np.min(gvals))
-    _, weights, multipliers = _stationarity_weights(
+    weights, multipliers = _stationarity_weights(
         model, feasible, y, gvals, atol=max(0.25 * tol, 1e-9) * (1.0 + abs(gmin)))
     support = weights > 0.0
     value = float(weights[support] @ gvals[support])

@@ -22,6 +22,17 @@ from rlp import (
 BOX_RADIUS = {1: 0.7, 2: 0.5}
 
 
+def random_location(rng: np.random.Generator, d: int) -> np.ndarray:
+    """A jump size in the closed unit ball, away from the origin."""
+    z = rng.uniform(-1.0, 1.0, d)
+    norm = np.linalg.norm(z)
+    if norm > 1.0:
+        z = z / norm
+    if norm < 1e-3:
+        z = np.full(d, 0.5)
+    return z
+
+
 def random_triplet(rng: np.random.Generator, d: int, n_atoms: int,
                    drift_low: float = -0.08) -> LevyTriplet:
     b = rng.uniform(drift_low, 0.12, d)
@@ -29,12 +40,7 @@ def random_triplet(rng: np.random.Generator, d: int, n_atoms: int,
     c = a @ a.T + rng.uniform(0.01, 0.05) * np.eye(d)
     atoms = []
     for _ in range(n_atoms):
-        z = rng.uniform(-1.0, 1.0, d)
-        norm = np.linalg.norm(z)
-        if norm > 1.0:
-            z = z / norm
-        if norm < 1e-3:
-            z = np.full(d, 0.5)
+        z = random_location(rng, d)
         atoms.append((float(rng.uniform(0.02, 0.3)), z))
     return LevyTriplet(b, c, JumpMeasure.from_atoms(atoms, dimension=d))
 

@@ -197,6 +197,42 @@ def test_smoothed_matches_exact_values_above_the_floor():
             assert grads[i] == pytest.approx(model.gradient(i, y), rel=1e-12, abs=1e-14)
 
 
+def test_the_atom_table_matches_each_vertex_on_its_own():
+    # the vertices share atoms, the first lists one location twice, (0.4, 0.0)
+    # and (0.4, -0.0) are one atom, and the second diffusion is singular
+    za, zb, zc = np.array([0.4, 0.0]), np.array([0.4, -0.0]), np.array([-0.3, 0.9])
+    t1 = LevyTriplet(np.array([0.05, 0.02]), np.array([[0.04, 0.01], [0.01, 0.09]]),
+                     JumpMeasure.from_atoms([(0.2, za), (0.1, zc), (0.05, za)]))
+    t2 = LevyTriplet(np.array([0.08, -0.01]), np.array([[0.02, 0.0], [0.0, 0.0]]),
+                     JumpMeasure.from_atoms([(0.3, zc), (0.15, zb)]))
+    t3 = LevyTriplet(np.array([0.01, 0.03]), 0.05 * np.eye(2), JumpMeasure.empty(2))
+    theta = UncertaintySet((t1, t2, t3))
+    mixed = theta.mix([0.5, 0.5, 0.0])
+    assert mixed.jumps.m == 2
+    rates = {tuple(z): r for r, z in zip(mixed.jumps.rates, mixed.jumps.locations)}
+    assert rates[(0.4, 0.0)] == pytest.approx(0.5 * 0.25 + 0.5 * 0.15, abs=1e-15)
+    floor = -1.0 + 0.5 / 1024
+    for u in (LOG, UtilitySpec.power_utility(0.5), UtilitySpec.power_utility(-1.5)):
+        model = GrowthModel(theta, u)
+        for y in (np.array([0.3, -0.2]), np.array([-1.0, 0.5]), np.array([2.0, 0.7])):
+            vals = model.vertex_values(y)
+            smooth_vals, smooth_grads = model.smoothed(y, floor)
+            for i, t in enumerate(theta.vertices):
+                listed = sum(r * jump_integrand(y, z, u)
+                             for r, z in zip(t.jumps.rates, t.jumps.locations))
+                direct = t.b @ y + 0.5 * (u.p - 1.0) * (y @ t.c @ y) + listed
+                for value in (vals[i], smooth_vals[i], model.parts(i, y).value):
+                    assert value == pytest.approx(growth_rate(t, y, u).value, abs=1e-12)
+                    assert value == pytest.approx(direct, abs=1e-12)
+                for grad in (model.gradient(i, y), smooth_grads[i]):
+                    np.testing.assert_allclose(grad, growth_gradient(t, y, u), rtol=0, atol=1e-12)
+    # past the bankruptcy face of zc the vertices holding it are -inf and the
+    # one without it stays finite, not nan
+    vals = GrowthModel(theta, LOG).vertex_values(np.array([0.0, -1.2]))
+    assert vals[:2].tolist() == [-math.inf, -math.inf]
+    assert math.isfinite(vals[2])
+
+
 def test_smoothed_is_finite_past_the_boundary():
     t = one_asset(0.1, 0.04, [(0.05, (-0.5,))])
     model = GrowthModel(UncertaintySet((t,)), LOG)

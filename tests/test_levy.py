@@ -141,6 +141,9 @@ def test_mix_rejects_bad_weights():
         theta.mix([-0.5, 1.5])
     with pytest.raises(ValueError):
         theta.mix([0.0, 0.0])
+    for bad in ([np.nan, 1.0], [np.inf, 1.0]):
+        with pytest.raises(ValueError, match="finite"):
+            theta.mix(bad)
 
 
 def test_mix_of_two_triplets():

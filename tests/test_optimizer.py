@@ -34,7 +34,13 @@ from rlp import (
 )
 from rlp.optimizer import FeasibleRegion, _stationarity_weights, golden_max
 
-from helpers_instances import BOX_RADIUS, random_instance, random_triplet, random_utility
+from helpers_instances import (
+    BOX_RADIUS,
+    random_instance,
+    random_location,
+    random_triplet,
+    random_utility,
+)
 from helpers_oracle import mixture_min, nearest_point, response_region, single_max
 
 LOG = UtilitySpec.log_utility()
@@ -141,6 +147,11 @@ def test_projection_returns_the_nearest_feasible_point():
         assert line.contains(region.project(y))
     on_line = np.array([0.4, -0.4])
     assert np.array_equal(region.project(on_line), on_line)
+    # hundreds of units outside: the step is solved for in units of the
+    # largest violation, so its length costs no digits
+    for y in ([300.0, 0.5], [-300.0, 30.0], [100.0, 100.0], [-100.0, -100.0]):
+        np.testing.assert_allclose(FeasibleRegion(box_2d).project(np.array(y)),
+                                   np.clip(y, [-1.0, -0.5], [1.0, 2.0]), rtol=0, atol=1e-10)
 
 
 def test_worst_vertex_ignores_rounding_at_a_tie():
@@ -482,15 +493,52 @@ def test_certificate_at_is_infinite_past_the_bankruptcy_boundary():
     assert details["residuals"] == {"max_y": math.inf, "min_theta": math.inf, "gap": math.inf}
 
 
-def random_polytope_game(rng: np.random.Generator):
+def pooled_vertices(rng: np.random.Generator, d: int, k: int) -> tuple[LevyTriplet, ...]:
+    """k triplets whose atoms come from one pool of one to three locations,
+    so vertices share atoms. A d >= 2 pool holds, with probability 1/2, a
+    location and its copy with -0.0 in place of 0.0. Each vertex lists one of
+    its atoms twice with probability 1/4, and has a singular diffusion
+    (rank d - 1) with probability 1/4."""
+    pool = [random_location(rng, d) for _ in range(int(rng.integers(1, 4)))]
+    if d >= 2 and rng.uniform() < 0.5:
+        pool[0][-1] = 0.0
+        pool.append(pool[0] * np.append(np.ones(d - 1), -1.0))
+    vertices = []
+    for _ in range(k):
+        t = random_triplet(rng, d, 0)
+        c = t.c
+        if rng.uniform() < 0.25:
+            a = rng.uniform(-0.3, 0.3, (d, d - 1))
+            c = a @ a.T
+        picks = list(rng.permutation(len(pool))[:int(rng.integers(0, len(pool) + 1))])
+        if picks and rng.uniform() < 0.25:
+            picks.append(picks[0])
+        atoms = [(float(rng.uniform(0.02, 0.3)), pool[j]) for j in picks]
+        vertices.append(LevyTriplet(t.b, c, JumpMeasure.from_atoms(atoms, dimension=d)))
+    return tuple(vertices)
+
+
+def random_polytope_game(rng: np.random.Generator, pooled: bool = False):
     """(theta, feasible, utility) with d, k <= 4 on the box of
     radius 0.75 / sqrt(d), to which half the d >= 2 draws add one or two
-    random faces, each through the origin with probability 1/2."""
+    random faces, each through the origin with probability 1/2.
+
+    With ``pooled`` the vertices come from :func:`pooled_vertices`, and with
+    probability 1/2 the box radius is instead drawn so that the box reaches
+    past the bankruptcy face -z . y <= 1 of one atom z, where 1 + y . z falls
+    to 0 on the feasible set. The radius is capped at 3, because the
+    certificate's bound grows with the width of the box."""
     d = int(rng.integers(1, 5))
     k = int(rng.integers(1, 5))
-    theta = UncertaintySet(tuple(random_triplet(rng, d, int(rng.integers(0, 3)))
-                                 for _ in range(k)))
+    if pooled:
+        theta = UncertaintySet(pooled_vertices(rng, d, k))
+    else:
+        theta = UncertaintySet(tuple(random_triplet(rng, d, int(rng.integers(0, 3)))
+                                     for _ in range(k)))
     radius = 0.75 / math.sqrt(d)
+    if pooled and len(theta.locations) and rng.uniform() < 0.5:
+        z = theta.locations[rng.integers(len(theta.locations))]
+        radius = min(float(rng.uniform(1.0, 1.5)) / float(np.abs(z).sum()), 3.0)
     constraints = Polyhedron.box([(-radius, radius)] * d)
     if d >= 2 and rng.uniform() < 0.5:
         m = int(rng.integers(1, 3))
@@ -510,23 +558,25 @@ def random_polytope_game(rng: np.random.Generator):
 @example(33)  # SLSQP ends past a face through the origin that is not a coordinate face
 @example(58)
 def test_a_passing_certificate_is_never_beaten(case_seed):
-    rng = np.random.default_rng(case_seed)
-    theta, feasible, u = random_polytope_game(rng)
-    try:
-        solution = maximize_robust(theta, feasible, u)
-    except RlpError:
-        return
-    cert = certificate_at(theta, feasible, u, solution.y_hat, 1e-6)
-    fields = (cert.y_hat, cert.theta_hat_weights, cert.face_multipliers, cert.value,
-              cert.residual_max_y, cert.residual_min_theta, cert.gap)
-    assert not any(np.any(np.isnan(f)) for f in fields)
-    assert cert.passes(1e-6), (cert.y_hat, cert.gap)
-    ok, details = verify_saddle(theta, feasible, u, cert, tol=1e-6)
-    assert ok, details
-    lo, hi = feasible.bounds
-    samples = [y for y in rng.uniform(lo, hi, (500, theta.dimension)) if feasible.contains(y)]
-    model = GrowthModel(theta, u)
-    assert all(model.robust_value(y) <= solution.robust_g + 1e-6 for y in samples)
+    for pooled in (False, True):
+        rng = np.random.default_rng(case_seed)
+        theta, feasible, u = random_polytope_game(rng, pooled)
+        try:
+            solution = maximize_robust(theta, feasible, u)
+        except RlpError:
+            continue
+        cert = certificate_at(theta, feasible, u, solution.y_hat, 1e-6)
+        fields = (cert.y_hat, cert.theta_hat_weights, cert.face_multipliers, cert.value,
+                  cert.residual_max_y, cert.residual_min_theta, cert.gap)
+        assert not any(np.any(np.isnan(f)) for f in fields)
+        assert cert.passes(1e-6), (pooled, cert.y_hat, cert.gap)
+        ok, details = verify_saddle(theta, feasible, u, cert, tol=1e-6)
+        assert ok, (pooled, details)
+        lo, hi = feasible.bounds
+        samples = [y for y in rng.uniform(lo, hi, (500, theta.dimension))
+                   if feasible.contains(y)]
+        model = GrowthModel(theta, u)
+        assert all(model.robust_value(y) <= solution.robust_g + 1e-6 for y in samples)
 
 
 def test_stationarity_mixture_at_a_one_dimensional_kink():
@@ -538,11 +588,11 @@ def test_stationarity_mixture_at_a_one_dimensional_kink():
     y = np.array([0.04 / 0.0145])
     g1, g2 = (float(model.gradient(i, y)[0]) for i in range(2))
     assert g1 > 0.0 > g2
-    residual, weights, multipliers = _stationarity_weights(
+    weights, multipliers = _stationarity_weights(
         model, feasible, y, model.vertex_values(y), atol=1e-9)
     np.testing.assert_allclose(weights, np.array([-g2, g1]) / (g1 - g2), rtol=0, atol=1e-12)
     assert np.all(multipliers == 0.0)
-    assert residual <= 1e-15
+    assert abs(weights @ [g1, g2]) <= 1e-15
 
 
 def test_stationarity_multiplier_at_an_active_endpoint():
@@ -552,13 +602,14 @@ def test_stationarity_multiplier_at_an_active_endpoint():
     feasible, _ = effective_domain(Polyhedron.box([(0.0, 1.0)]), theta)
     model = GrowthModel(theta, LOG)
     y = np.array([1.0])
-    residual, weights, multipliers = _stationarity_weights(
+    weights, multipliers = _stationarity_weights(
         model, feasible, y, model.vertex_values(y), atol=1e-9)
     assert weights.tolist() == [1.0]
     upper = np.flatnonzero(feasible.normals[:, 0] > 0.0)
     np.testing.assert_allclose(multipliers[upper] * feasible.normals[upper, 0],
                                model.gradient(0, y), rtol=0, atol=1e-12)
-    assert residual <= 1e-15
+    residual = model.gradient(0, y) - feasible.normals.T @ multipliers
+    assert np.max(np.abs(residual)) <= 1e-15
 
 
 def test_mixture_min_finds_the_interior_mixture():
