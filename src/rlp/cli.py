@@ -22,7 +22,7 @@ import time
 
 import numpy as np
 
-from .errors import ModelError, RlpError, SaddleNotCertifiedError
+from .errors import FileIoError, ModelError, NanResultError, RlpError, SaddleNotCertifiedError
 from .growth import worst_case_growth
 from .model_io import ProblemSpec, Report, emit_report, load_model
 from .optimizer import (
@@ -274,6 +274,11 @@ def run_command(command: str, spec: ProblemSpec, flags: argparse.Namespace) -> R
     )
 
 
+def _error_report(flags: argparse.Namespace, exc: RlpError) -> Report:
+    return Report(command=flags.command, model=flags.model, digest="", status=1,
+                  results={"error": {"code": exc.code, "message": str(exc)}})
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -281,12 +286,14 @@ def main(argv: list[str] | None = None) -> int:
         spec = load_model(args.model)
         report = run_command(args.command, spec, args)
     except RlpError as exc:
-        report = Report(command=args.command, model=args.model, digest="",
-                        status=1,
-                        results={"error": {"code": exc.code, "message": str(exc)}})
+        report = _error_report(args, exc)
     try:
-        emit_report(report, args.format, args.out)
-    except RlpError as exc:
+        try:
+            emit_report(report, args.format, args.out)
+        except NanResultError as exc:  # raised before anything is written
+            report = _error_report(args, exc)
+            emit_report(report, args.format, args.out)
+    except FileIoError as exc:
         sys.stderr.write(f"rlp: {exc}\n")
         return 1
     return report.status

@@ -56,7 +56,7 @@ class NotCompactError(RlpError):
 
 
 class DidNotConvergeError(RlpError):
-    """The value still moved by more than the tolerance across the final shrink levels."""
+    """The final shrink level's maximizer binds a tightened no-bankruptcy face."""
 
     code = "DidNotConverge"
 

@@ -3,9 +3,9 @@
 The solver maximizes the worst-case growth rate (a concave function of the
 strategy) over the compact intersection of the user constraints with the
 no-bankruptcy halfspaces. Multidimensional problems run one smooth epigraph
-solve (SLSQP) on the most tightened level of the shrink schedule, and a
-second on the level before it only when the first maximizer leaves that
-level's set; one-dimensional problems use golden-section search directly.
+solve (SLSQP) on the most tightened level of the shrink schedule, whose
+maximizer must stay off the tightened no-bankruptcy faces; one-dimensional
+problems use golden-section search directly.
 :func:`certificate_at` certifies a strategy, and every answer, ``solve``'s
 included, carries its certificate. The saddle's mixture on the uncertainty
 simplex and its face multipliers come from a nonnegative least-squares fit
@@ -37,7 +37,9 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Solver knobs; the defaults match the documented behaviour."""
+    """Solver knobs: value_tol sets find_saddle's default certification
+    tolerance (10 * value_tol), y_tol the 1-D resolution, and the last shrink
+    level n alone sets the tightened faces 1 + z . y >= 1/n."""
 
     value_tol: float = 1e-8
     y_tol: float = 1e-8
@@ -241,17 +243,15 @@ def maximize_robust(theta: UncertaintySet, feasible: Polyhedron, utility: Utilit
 
     One-dimensional problems are solved by golden-section search on the
     concave worst-case envelope. Otherwise one smooth epigraph solve (SLSQP)
-    runs from the origin on the final shrink level. When its maximizer also
-    satisfies the previous level's halfspaces, that level, a subset holding
-    the maximizer, has the same optimum, so it is listed in the diagnostics
-    as ``implied`` with no solve and zero drift. Otherwise the previous level
-    is solved too, the better of the two strategies is kept (ties to the
-    previous level), and DidNotConvergeError is raised when the two values
-    differ by more than value_tol. Earlier levels are subsets of these and
-    could only lose. The diagnostics record each solved level's value,
-    SLSQP status and iteration count; a nonzero status is not an error, as
-    the certificate (:func:`certificate_at`) judges the answer. Raises
-    NotCompactError when the feasible set is unbounded.
+    runs from the origin on the final shrink level n, where every jump factor
+    1 + z . y is held at 1/n or more. The growth rate is concave, so a
+    maximizer with none of these faces active is a local, hence global,
+    maximizer of the untightened problem; DidNotConvergeError is raised when
+    one is active, by the relative 1e-8 rule of :func:`_stationarity_weights`. The
+    diagnostics record the level's n, value, SLSQP status, iteration count
+    and smallest jump factor (inf without atoms); a nonzero status is not an
+    error, as the certificate (:func:`certificate_at`) judges the answer.
+    Raises NotCompactError when the feasible set is unbounded.
     """
     opts = opts or SolveOptions()
     model = GrowthModel(theta, utility)
@@ -266,27 +266,18 @@ def maximize_robust(theta: UncertaintySet, feasible: Polyhedron, utility: Utilit
         y = np.array([y_scalar])
         diagnostics["method"] = "golden-section"
     else:
-        floor = -1.0 + 0.5 / opts.shrink_schedule[-1]
-        levels: list[dict] = []
-        implied: list[int] = []
-        y, value = None, -math.inf
-        for n in reversed(opts.shrink_schedule[-2:]):
-            shrunk = feasible.intersect(natural_constraints(theta, n))
-            if y is not None and shrunk.contains(y):
-                implied.append(n)
-                continue
-            level_y, res = _slsqp_max(model, FeasibleRegion(shrunk), np.zeros(d), floor)
-            level_v = model.robust_value(level_y)
-            levels.append({"n": n, "value": float(level_v), "status": int(res.status),
-                           "nit": int(res.nit)})
-            if y is not None and abs(level_v - value) > opts.value_tol:
-                raise DidNotConvergeError(
-                    f"value still moved by {abs(level_v - value):.3e} across the final "
-                    "shrink levels")
-            if level_v >= value:
-                y, value = level_y, level_v
-        diagnostics.update({"method": "slsqp-epigraph", "levels_run": len(levels),
-                            "levels": levels, "implied": implied})
+        n = opts.shrink_schedule[-1]
+        shrunk = feasible.intersect(natural_constraints(theta, n))
+        y, res = _slsqp_max(model, FeasibleRegion(shrunk), np.zeros(d), -1.0 + 0.5 / n)
+        value = model.robust_value(y)
+        min_jump = float(np.min(1.0 + theta.locations @ y, initial=math.inf))
+        diagnostics.update({"method": "slsqp-epigraph", "levels_run": 1, "levels": [
+            {"n": n, "value": float(value), "status": int(res.status), "nit": int(res.nit),
+             "min_jump_factor": min_jump}]})
+        if min_jump - 1.0 / n <= 1e-8 * (2.0 - 1.0 / n):
+            raise DidNotConvergeError(
+                f"the maximizer binds a no-bankruptcy face tightened to 1/{n} (smallest "
+                f"jump factor {min_jump:.3e}), so the untightened optimum may lie beyond it")
     if value <= 0.0:
         # The zero strategy is always feasible here and earns exactly 0.
         y = np.zeros(d)

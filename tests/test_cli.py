@@ -144,6 +144,24 @@ def test_out_writes_the_report_to_a_file(capsys, tmp_path):
     assert json.loads(out.read_text())["command"] == "solve"
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_nan_result_ends_in_an_error_report(capsys, tmp_path, fmt):
+    # at so large a position every Monte Carlo log-wealth is -inf + inf * g
+    out = tmp_path / f"report.{fmt}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        status, stdout = run(capsys, ["simulate", "--model", MERTON, "--pi", "1e200",
+                                      "--format", fmt, "--out", str(out)])
+    assert status == 1 and stdout == ""
+    text = out.read_text()
+    if fmt == "json":
+        report = json.loads(text)
+        assert report["status"] == 1
+        assert report["results"]["error"]["code"] == "NanResult"
+    else:
+        assert "error.code,NanResult," in text.splitlines()
+
+
 def test_missing_model_file_exits_1(capsys):
     status, report = run_json(capsys, ["solve", "--model", "no-such-model.json"])
     assert status == 1

@@ -17,7 +17,6 @@ from rlp import (
     LevyTriplet,
     NotCompactError,
     Polyhedron,
-    RlpError,
     SaddleCertificate,
     SaddleNotCertifiedError,
     SolveOptions,
@@ -274,8 +273,8 @@ def test_a_two_dimensional_verify_runs_no_lp(monkeypatch):
     # least-squares fit, so no LP runs at all
     assert not hasattr(rlp.optimizer, "linprog")
     assert lp_calls == []
-    # find_saddle's robust solve on the final shrink level; the previous level
-    # holds its maximizer, and both upper bounds are arithmetic
+    # find_saddle's one robust solve on the final shrink level; both upper
+    # bounds are arithmetic
     assert slsqp_calls == ["SLSQP"]
 
 
@@ -294,15 +293,6 @@ def boundary_chasing_instance():
 def test_boundary_chasing_raises_did_not_converge():
     with pytest.raises(DidNotConvergeError):
         maximize_robust(*boundary_chasing_instance())
-
-
-def test_a_maximizer_outside_the_previous_level_solves_that_level_too():
-    theta, feasible, u = boundary_chasing_instance()
-    solution = maximize_robust(theta, feasible, u, SolveOptions(value_tol=1.0))
-    diagnostics = solution.diagnostics
-    assert [level["n"] for level in diagnostics["levels"]] == [1024, 256]
-    assert diagnostics["levels_run"] == 2 and diagnostics["implied"] == []
-    assert solution.robust_g == max(level["value"] for level in diagnostics["levels"])
 
 
 def test_solution_is_deterministic():
@@ -327,9 +317,9 @@ def test_multidimensional_solutions_report_their_certificate():
                               opts.value_tol).passes(opts.value_tol)
         levels = diagnostics["levels"]
         assert len(levels) == diagnostics["levels_run"] == 1
-        assert diagnostics["implied"] == [opts.shrink_schedule[-2]]
         for level in levels:
-            assert level["n"] in opts.shrink_schedule[-2:]
+            assert level["n"] == opts.shrink_schedule[-1]
+            assert level["min_jump_factor"] > 1.0 / level["n"]
             assert isinstance(level["status"], int) and level["nit"] >= 1
         solved += 1
     assert solved >= 5
@@ -551,6 +541,16 @@ def random_polytope_game(rng: np.random.Generator, pooled: bool = False):
     return theta, feasible, utility
 
 
+def test_an_optimum_between_the_last_two_shrink_levels_certifies():
+    # the final level's maximizer lies past the level-256 faces but inside its
+    # own level-1024 faces, so it is the untightened optimum
+    theta, feasible, u = random_polytope_game(np.random.default_rng(1589), pooled=True)
+    solution = maximize_robust(theta, feasible, u)
+    (level,) = solution.diagnostics["levels"]
+    assert 1.0 / 1024 < level["min_jump_factor"] < 1.0 / 256
+    assert certificate_at(theta, feasible, u, solution.y_hat, 1e-6).passes(1e-6)
+
+
 @seed(20261019)
 @settings(max_examples=60, deadline=None, database=None)
 @given(st.integers(0, 2**32 - 1))
@@ -563,7 +563,7 @@ def test_a_passing_certificate_is_never_beaten(case_seed):
         theta, feasible, u = random_polytope_game(rng, pooled)
         try:
             solution = maximize_robust(theta, feasible, u)
-        except RlpError:
+        except DidNotConvergeError:
             continue
         cert = certificate_at(theta, feasible, u, solution.y_hat, 1e-6)
         fields = (cert.y_hat, cert.theta_hat_weights, cert.face_multipliers, cert.value,
