@@ -5,9 +5,9 @@ deterministic drift term, a Gaussian term of variance T pi.c.pi and a
 compound Poisson sum of log(1 + pi.z), so it is sampled exactly without a
 time grid: per path one Poisson jump count, atom locations drawn in
 proportion to their rates, and one normal draw. Paths are drawn in
-fixed-size chunks, each from its own counter-based Philox stream keyed by
-(seed, chunk index), so an estimate depends only on the seed and the path
-count.
+fixed-size chunks into one buffer per estimate, each chunk from its own
+counter-based Philox stream keyed by (seed, chunk index), so an estimate
+depends only on the seed and the path count.
 """
 
 from __future__ import annotations
@@ -60,9 +60,12 @@ def _log_wealth(triplet: LevyTriplet, pi: np.ndarray, horizon: float,
     jump_proj = jumps.locations @ pi if jumps.m else np.zeros(0)
     probabilities = jumps.rates / total if total > 0.0 else None
 
-    def one_chunk(chunk_id: int, count: int) -> np.ndarray:
+    out = np.empty(n_paths)
+    for chunk_id, start in enumerate(range(0, n_paths, _CHUNK)):
+        chunk = out[start:start + _CHUNK]
+        count = len(chunk)
         rng = _generator(seed, int(_CHUNK_STREAM) + chunk_id)
-        jump_sum = np.zeros(count)
+        jump_sum = 0.0
         if total > 0.0:
             counts = rng.poisson(total * horizon, size=count)
             drawn = int(counts.sum())
@@ -77,14 +80,12 @@ def _log_wealth(triplet: LevyTriplet, pi: np.ndarray, horizon: float,
                     logs = np.log1p(projected)
                 owners = np.repeat(np.arange(count), counts)
                 jump_sum = np.bincount(owners, weights=logs, minlength=count)
-        gauss = rng.standard_normal(count)
-        return base + scale * gauss + jump_sum
-
-    sizes = [_CHUNK] * (n_paths // _CHUNK)
-    if n_paths % _CHUNK:
-        sizes.append(n_paths % _CHUNK)
-    parts = [one_chunk(i, c) for i, c in enumerate(sizes)]
-    return np.concatenate(parts) if len(parts) > 1 else parts[0]
+        # base + scale * gauss + jump_sum, in place and in that order
+        rng.standard_normal(out=chunk)
+        chunk *= scale
+        chunk += base
+        chunk += jump_sum
+    return out
 
 
 def _estimate(values: np.ndarray, n_paths: int, seed: int) -> McEstimate:
@@ -127,26 +128,3 @@ def closed_form_expected_utility(triplet: LevyTriplet, pi: np.ndarray,
     """Expected terminal utility through the growth rate, no simulation."""
     rate = growth_rate(triplet, np.atleast_1d(np.asarray(pi, dtype=float)), utility).value
     return problem_value(rate, utility, x0, horizon)
-
-
-def martingale_check(triplet: LevyTriplet, pi: np.ndarray, utility: UtilitySpec,
-                     horizon: float, n_paths: int, seed: int) -> tuple[McEstimate, bool]:
-    """Unit-expectation test of the normalized power wealth process.
-
-    Estimates E[(W_T)^p / exp(p T g)] at unit capital, which is exactly 1,
-    and passes when the estimate is within 3.5 standard errors of 1. Only
-    defined for power utility and strategies with a finite growth rate.
-    """
-    if utility.p == 0.0:
-        raise ValueError("the martingale check requires power utility")
-    pi = np.atleast_1d(np.asarray(pi, dtype=float))
-    rate = growth_rate(triplet, pi, utility).value
-    if not math.isfinite(rate):
-        raise ValueError("the growth rate must be finite at this strategy")
-    log_w = _log_wealth(triplet, pi, horizon, n_paths, seed)
-    p = utility.p
-    with np.errstate(over="ignore"):
-        values = np.exp(p * log_w - p * horizon * rate)
-    estimate = _estimate(values, n_paths, seed)
-    passed = bool(abs(estimate.mean - 1.0) <= 3.5 * estimate.stderr)
-    return estimate, passed

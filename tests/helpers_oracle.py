@@ -1,10 +1,13 @@
-"""Independent oracles: best responses, Kelley's cutting planes, nearest points.
+"""Independent oracles: best responses, Kelley's cutting planes, nearest
+points and the martingale test.
 
 The library certifies a saddle by a dual bound at its own solution. These
 helpers solve the mixture player's side of the game separately, by repeated
 best responses, so criterion 3 and the bound tests compare the library
 against a second computation; :func:`nearest_point` does the same for the
-library's least-distance projection.
+library's least-distance projection, and :func:`martingale_check` for the
+`verify` report's martingale block, which the command line reads off its
+expected-utility estimate.
 """
 
 from __future__ import annotations
@@ -17,13 +20,16 @@ from scipy.optimize import linprog, minimize
 from rlp import (
     GrowthModel,
     LevyTriplet,
+    McEstimate,
     Polyhedron,
     SolveOptions,
     UncertaintySet,
     UtilitySpec,
+    growth_rate,
     natural_constraints,
 )
 from rlp.optimizer import FeasibleRegion, _slsqp_max, golden_max
+from rlp.simulator import _estimate, _log_wealth
 
 # Kelley's cutting planes stop on this relative bracket width, or this many cuts.
 KELLEY_RTOL = 1e-7
@@ -109,3 +115,26 @@ def nearest_point(poly: Polyhedron, y: np.ndarray) -> np.ndarray:
                    jac=lambda x: x - y, method="SLSQP", constraints=[faces],
                    options={"maxiter": 500, "ftol": 1e-16})
     return res.x
+
+
+def martingale_check(triplet: LevyTriplet, pi: np.ndarray, utility: UtilitySpec,
+                     horizon: float, n_paths: int, seed: int) -> tuple[McEstimate, bool]:
+    """Unit-expectation test of the normalized power wealth process.
+
+    Estimates E[(W_T)^p / exp(p T g)] at unit capital, which is exactly 1,
+    and passes when the estimate is within 3.5 standard errors of 1. Only
+    defined for power utility and strategies with a finite growth rate.
+    """
+    if utility.p == 0.0:
+        raise ValueError("the martingale check requires power utility")
+    pi = np.atleast_1d(np.asarray(pi, dtype=float))
+    rate = growth_rate(triplet, pi, utility).value
+    if not math.isfinite(rate):
+        raise ValueError("the growth rate must be finite at this strategy")
+    log_w = _log_wealth(triplet, pi, horizon, n_paths, seed)
+    p = utility.p
+    with np.errstate(over="ignore"):
+        values = np.exp(p * log_w - p * horizon * rate)
+    estimate = _estimate(values, n_paths, seed)
+    passed = bool(abs(estimate.mean - 1.0) <= 3.5 * estimate.stderr)
+    return estimate, passed

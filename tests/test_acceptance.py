@@ -23,7 +23,6 @@ from rlp import (
     growth_gradient,
     growth_rate,
     load_model,
-    martingale_check,
     maximize_robust,
     mc_expected_utility,
     natural_constraints,
@@ -32,7 +31,7 @@ from rlp import (
 )
 
 from helpers_instances import random_instance, random_sim_instance, random_triplet
-from helpers_oracle import mixture_min
+from helpers_oracle import martingale_check, mixture_min
 
 ROOT = Path(__file__).resolve().parent.parent
 

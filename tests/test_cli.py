@@ -8,8 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import rlp.simulator
 from rlp import certificate_at, load_model
 from rlp.cli import main
+
+from helpers_oracle import martingale_check
 
 ROOT = Path(__file__).resolve().parent.parent
 BOX = str(ROOT / "models" / "box_log_jump.json")
@@ -17,6 +20,7 @@ MERTON = str(ROOT / "models" / "merton_power.json")
 TWO_ASSET = str(ROOT / "models" / "two_asset_log.json")
 LONG_ONLY = str(ROOT / "models" / "long_only_log.json")
 MARKET_NEUTRAL = str(ROOT / "models" / "market_neutral_log.json")
+NEGATIVE_POWER = str(ROOT / "models" / "negative_power_jump.json")
 
 
 def run(capsys, argv):
@@ -136,6 +140,37 @@ def test_verify_skips_the_martingale_check_for_log_utility(capsys):
     assert report["results"]["martingale"] == {"applicable": False}
 
 
+@pytest.mark.parametrize("model", [MERTON, NEGATIVE_POWER], ids=["merton", "negative_power"])
+@pytest.mark.parametrize("seed", ["3", "11"])
+def test_power_verify_draws_one_sample_and_matches_the_martingale_oracle(
+        capsys, monkeypatch, model, seed):
+    draws = []
+    log_wealth = rlp.simulator._log_wealth
+
+    def counted(*args):
+        draws.append(args)
+        return log_wealth(*args)
+
+    monkeypatch.setattr(rlp.simulator, "_log_wealth", counted)
+    status, report = run_json(
+        capsys, ["verify", "--model", model, "--paths", "20000", "--seed", seed])
+    assert status == 0
+    assert len(draws) == 1
+    monkeypatch.undo()
+    results = report["results"]
+    spec = load_model(model)
+    theta_hat = spec.theta.mix(np.array(results["saddle"]["theta_hat_weights"]))
+    oracle, passed = martingale_check(theta_hat, np.array(results["saddle"]["y_hat"]),
+                                      spec.utility, spec.horizon, 20000, int(seed))
+    martingale = results["martingale"]
+    assert martingale["mean"] == pytest.approx(oracle.mean, rel=1e-12, abs=0.0)
+    assert martingale["stderr"] == pytest.approx(oracle.stderr, rel=1e-12, abs=0.0)
+    assert martingale["passed"] is passed
+    assert martingale["passed"] is results["mc_vs_closed_form"]["passed"]
+    assert (martingale["n_paths"], martingale["seed"]) == (20000, int(seed))
+    assert martingale["minus_inf"] is False
+
+
 def test_out_writes_the_report_to_a_file(capsys, tmp_path):
     out = tmp_path / "report.json"
     status, stdout = run(capsys, ["solve", "--model", BOX, "--out", str(out)])
@@ -146,13 +181,16 @@ def test_out_writes_the_report_to_a_file(capsys, tmp_path):
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_a_nan_result_ends_in_an_error_report(capsys, tmp_path, fmt):
-    # at so large a position every Monte Carlo log-wealth is -inf + inf * g
+    # at so large a position every Monte Carlo log-wealth is -inf + inf * g;
+    # the overflow ends in the report, not in numpy warnings on stderr
     out = tmp_path / f"report.{fmt}"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        status, stdout = run(capsys, ["simulate", "--model", MERTON, "--pi", "1e200",
-                                      "--format", fmt, "--out", str(out)])
-    assert status == 1 and stdout == ""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        status = main(["simulate", "--model", MERTON, "--pi", "1e200",
+                       "--format", fmt, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert status == 1 and captured.out == "" and captured.err == ""
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     text = out.read_text()
     if fmt == "json":
         report = json.loads(text)

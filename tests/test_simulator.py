@@ -1,6 +1,8 @@
 """Monte Carlo wealth simulation against the closed forms."""
 
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,11 +13,15 @@ from rlp import (
     NegativeWealthError,
     UtilitySpec,
     closed_form_expected_utility,
-    martingale_check,
+    load_model,
     mc_expected_utility,
 )
+from rlp.simulator import _log_wealth
 
 from helpers_instances import random_sim_instance
+from helpers_oracle import martingale_check
+
+ROOT = Path(__file__).resolve().parent.parent
 
 LOG = UtilitySpec.log_utility()
 
@@ -43,6 +49,16 @@ def test_zero_strategy_is_noise_free():
         exact = math.log(x0) if utility.is_log else x0 ** utility.p / utility.p
         assert est.mean == pytest.approx(exact, rel=5e-16)
         assert abs(est.stderr) < 1e-15
+
+
+def test_log_wealth_bits_are_pinned():
+    # two full chunks and a partial one; a change of stream, draw order or
+    # arithmetic order changes every Monte Carlo number and shows here
+    vertex = load_model(str(ROOT / "models" / "box_log_jump.json")).theta.vertices[0]
+    log_w = _log_wealth(vertex, np.array([2.0]), 1.0, 60001, 7)
+    assert log_w.shape == (60001,) and log_w.dtype == np.float64
+    assert hashlib.sha256(log_w.tobytes()).hexdigest() == (
+        "7f3dacfee1c69d1d7bdf58bfe8fcb6b5577eb26133d03dd158d905d61755e2eb")
 
 
 def test_mc_estimate_is_deterministic():
@@ -94,18 +110,6 @@ def test_martingale_check_zero_strategy_is_exact():
     assert ok
     assert est.mean == 1.0
     assert est.stderr == 0.0
-
-
-def test_martingale_check_rejects_log_utility():
-    with pytest.raises(ValueError):
-        martingale_check(jump_diffusion(), np.array([0.5]), LOG, 1.0, 100, 0)
-
-
-def test_martingale_check_requires_a_finite_rate():
-    t = jump_diffusion(atoms=((0.5, (-0.5,)),))
-    with pytest.raises(ValueError):
-        martingale_check(t, np.array([2.0]), UtilitySpec.power_utility(-1.0),
-                         1.0, 100, 0)
 
 
 def test_single_path_estimate_has_no_stderr():
