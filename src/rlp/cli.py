@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _solution_results(spec: ProblemSpec, tol: float) -> dict:
-    solution = maximize_robust(spec.theta, spec.feasible, spec.utility, spec.solver)
+    solution = maximize_robust(spec.theta, spec.feasible, spec.utility)
     value = problem_value(solution.robust_g, spec.utility, spec.x0, spec.horizon)
     certificate = certificate_at(spec.theta, spec.feasible, spec.utility, solution.y_hat, tol)
     return {
@@ -135,9 +135,13 @@ def _estimate_dict(estimate) -> dict:
 
 
 def _agreement(mean: float, stderr: float, reference: float) -> tuple[float, bool]:
-    """Absolute error and the 3.5-sigma agreement flag, tolerating -inf == -inf."""
-    if math.isinf(reference) and math.isinf(mean) and reference == mean:
+    """Absolute error and the 3.5-sigma agreement flag. Both values at -inf
+    (log utility of a strategy that can go bankrupt) agree; any other
+    non-finite pair is (inf, False), as nothing can be compared."""
+    if mean == reference == -math.inf:
         return 0.0, True
+    if not (math.isfinite(mean) and math.isfinite(reference)):
+        return math.inf, False
     error = abs(mean - reference)
     return error, bool(error <= 3.5 * stderr)
 
@@ -172,8 +176,7 @@ def _cmd_solve(spec: ProblemSpec, flags: argparse.Namespace) -> tuple[dict, int,
 
 def _cmd_saddle(spec: ProblemSpec, flags: argparse.Namespace) -> tuple[dict, int, list]:
     try:
-        certificate = find_saddle(spec.theta, spec.feasible, spec.utility, spec.solver,
-                                  certify_tol=flags.tol)
+        certificate = find_saddle(spec.theta, spec.feasible, spec.utility, certify_tol=flags.tol)
     except SaddleNotCertifiedError as exc:
         results = _certificate_results(exc.certificate, certified=False)
         results["reason"] = str(exc)
@@ -211,8 +214,7 @@ def _cmd_verify(spec: ProblemSpec, flags: argparse.Namespace) -> tuple[dict, int
     seed = flags.seed if flags.seed is not None else spec.simulation.seed
     provenance: list[str] = []
     try:
-        certificate = find_saddle(spec.theta, spec.feasible, spec.utility, spec.solver,
-                                  certify_tol=flags.tol)
+        certificate = find_saddle(spec.theta, spec.feasible, spec.utility, certify_tol=flags.tol)
         certified = True
     except SaddleNotCertifiedError as exc:
         certificate = exc.certificate

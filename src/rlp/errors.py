@@ -56,7 +56,8 @@ class NotCompactError(RlpError):
 
 
 class DidNotConvergeError(RlpError):
-    """The final shrink level's maximizer binds a tightened no-bankruptcy face."""
+    """The d >= 2 maximizer binds a no-bankruptcy face tightened to the jump
+    factor 1/SHRINK_LEVEL, so the untightened optimum may lie beyond it."""
 
     code = "DidNotConverge"
 

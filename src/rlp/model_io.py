@@ -31,13 +31,14 @@ from .levy import (
     effective_domain,
     validate_triplet,
 )
-from .optimizer import SolveOptions
 
 _TOP_KEYS = {"dimension", "utility", "T", "x0", "C", "Theta", "solver", "simulation"}
 
-# Solver keys of earlier releases, with their defaults: still validated and
-# kept in the resolved model (so digests do not change), but they set nothing.
-_INERT_SOLVER_KEYS = {"max_iters": 10000, "restarts": 8, "seed": 0}
+# Solver keys of earlier releases, with their defaults. The solver takes no
+# options: each key is still validated and kept in the resolved model (so
+# digests do not change), but none sets anything.
+_SOLVER_DEFAULTS = {"value_tol": 1e-8, "y_tol": 1e-8, "max_iters": 10000, "restarts": 8,
+                    "shrink_schedule": [4, 16, 64, 256, 1024], "seed": 0}
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,7 @@ class SimulationOptions:
 
 @dataclass(frozen=True, eq=False)
 class ProblemSpec:
-    """A fully resolved problem: model data, solver options, and derived checks."""
+    """A fully resolved problem: model data, simulation options, and derived checks."""
 
     dimension: int
     utility: UtilitySpec
@@ -62,7 +63,6 @@ class ProblemSpec:
     x0: float
     constraints: Polyhedron
     theta: UncertaintySet
-    solver: SolveOptions
     simulation: SimulationOptions
     feasible: Polyhedron
     compact: bool
@@ -255,33 +255,29 @@ def _parse_constraints(obj, dimension: int) -> Polyhedron:
     return poly
 
 
-def _parse_solver(obj) -> tuple[SolveOptions, dict]:
-    """The solver options and their resolved form.
-
-    The resolved form also keeps the inert keys (validated, part of the
-    digest, without effect on any solve).
-    """
-    obj = _fields({} if obj is None else obj, "solver",
-                  ("value_tol", "y_tol", "shrink_schedule", *_INERT_SOLVER_KEYS))
-    kwargs = {key: _number(obj[key], f"solver.{key}")
-              for key in ("value_tol", "y_tol") if key in obj}
-    inert = {key: _integer(obj.get(key, default), f"solver.{key}")
-             for key, default in _INERT_SOLVER_KEYS.items()}
-    if "shrink_schedule" in obj:
-        schedule = obj["shrink_schedule"]
-        _require(isinstance(schedule, list) and all(
-            isinstance(n, int) and not isinstance(n, bool) for n in schedule),
-            "'solver.shrink_schedule' must be a list of integers")
-        kwargs["shrink_schedule"] = tuple(schedule)
-    if inert["max_iters"] < 1 or inert["restarts"] < 1:
-        raise ModelError("invalid solver options: max_iters and restarts must be at least 1")
-    try:
-        options = SolveOptions(**kwargs)
-    except ValueError as exc:
-        raise ModelError(f"invalid solver options: {exc}") from exc
-    resolved = {"value_tol": options.value_tol, "y_tol": options.y_tol,
-                "shrink_schedule": list(options.shrink_schedule), **inert}
-    return options, resolved
+def _parse_solver(obj) -> dict:
+    """The resolved solver block: every key defaulted and validated, none read."""
+    given = {**_SOLVER_DEFAULTS,
+             **_fields({} if obj is None else obj, "solver", _SOLVER_DEFAULTS)}
+    resolved = {key: _number(given[key], f"solver.{key}") for key in ("value_tol", "y_tol")}
+    resolved.update({key: _integer(given[key], f"solver.{key}")
+                     for key in ("max_iters", "restarts", "seed")})
+    schedule = given["shrink_schedule"]
+    _require(isinstance(schedule, list) and all(
+        isinstance(n, int) and not isinstance(n, bool) for n in schedule),
+        "'solver.shrink_schedule' must be a list of integers")
+    resolved["shrink_schedule"] = list(schedule)
+    if resolved["max_iters"] < 1 or resolved["restarts"] < 1:
+        problem = "max_iters and restarts must be at least 1"
+    elif resolved["value_tol"] <= 0 or resolved["y_tol"] <= 0:
+        problem = "tolerances must be positive"
+    elif not schedule or min(schedule) < 2:
+        problem = "shrink levels must be integers of at least 2"
+    elif any(b <= a for a, b in zip(schedule, schedule[1:])):
+        problem = "shrink levels must be strictly increasing"
+    else:
+        return resolved
+    raise ModelError(f"invalid solver options: {problem}")
 
 
 def _parse_simulation(obj) -> SimulationOptions:
@@ -348,7 +344,7 @@ def load_model(path: str) -> ProblemSpec:
         raise ModelError("the initial capital x0 must be positive")
     theta = _parse_theta(raw["Theta"], dimension)
     constraints = _parse_constraints(raw.get("C"), dimension)
-    solver, resolved_solver = _parse_solver(raw.get("solver"))
+    resolved_solver = _parse_solver(raw.get("solver"))
     simulation = _parse_simulation(raw.get("simulation"))
     violations = []
     for i, vertex in enumerate(theta.vertices):
@@ -369,7 +365,7 @@ def load_model(path: str) -> ProblemSpec:
     digest = hashlib.sha256(canonical_json(resolved).encode("utf-8")).hexdigest()
     return ProblemSpec(
         dimension=dimension, utility=utility, horizon=horizon, x0=x0,
-        constraints=constraints, theta=theta, solver=solver, simulation=simulation,
+        constraints=constraints, theta=theta, simulation=simulation,
         feasible=feasible, compact=compact, kappa=kappa,
         provenance=("density_discretized",) if discretized else (), digest=digest,
         resolved=resolved)

@@ -2,10 +2,10 @@
 
 The solver maximizes the worst-case growth rate (a concave function of the
 strategy) over the compact intersection of the user constraints with the
-no-bankruptcy halfspaces. Multidimensional problems run one smooth epigraph
-solve (SLSQP) on the most tightened level of the shrink schedule, whose
-maximizer must stay off the tightened no-bankruptcy faces; one-dimensional
-problems use golden-section search directly.
+no-bankruptcy halfspaces. It takes no tuning parameters. Multidimensional
+problems run one smooth epigraph solve (SLSQP) with every no-bankruptcy face
+tightened to the jump factor 1/SHRINK_LEVEL, and its maximizer must stay off
+those faces; one-dimensional problems use golden-section search directly.
 :func:`certificate_at` certifies a strategy, and every answer, ``solve``'s
 included, carries its certificate. The saddle's mixture on the uncertainty
 simplex and its face multipliers come from a nonnegative least-squares fit
@@ -34,26 +34,8 @@ from .levy import Polyhedron, UncertaintySet, UtilitySpec, natural_constraints
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-
-@dataclass(frozen=True)
-class SolveOptions:
-    """Solver knobs: value_tol sets find_saddle's default certification
-    tolerance (10 * value_tol), y_tol the 1-D resolution, and the last shrink
-    level n alone sets the tightened faces 1 + z . y >= 1/n."""
-
-    value_tol: float = 1e-8
-    y_tol: float = 1e-8
-    shrink_schedule: tuple[int, ...] = (4, 16, 64, 256, 1024)
-
-    def __post_init__(self):
-        if self.value_tol <= 0 or self.y_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        schedule = tuple(int(n) for n in self.shrink_schedule)
-        if not schedule or any(n < 2 for n in schedule):
-            raise ValueError("shrink levels must be integers of at least 2")
-        if any(b <= a for a, b in zip(schedule, schedule[1:])):
-            raise ValueError("shrink levels must be strictly increasing")
-        object.__setattr__(self, "shrink_schedule", schedule)
+# The d >= 2 solve holds every jump factor 1 + z . y at 1/SHRINK_LEVEL or more.
+SHRINK_LEVEL = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,16 +90,18 @@ class FeasibleRegion:
     def project(self, y: np.ndarray) -> np.ndarray:
         """The point of the polyhedron {x : N x <= o} nearest to y, y itself
         when inside: the least-distance step min |x| s.t. N (y + x) <= o from
-        one NNLS (Lawson and Hanson, ch. 23) on h = N y - o scaled to max 1,
-        solved again once with every face pulled a relative 1e-12 inward when
-        rounding leaves its point outside, and else the origin."""
+        one NNLS (Lawson and Hanson, ch. 23) on h = N y - o scaled to max 1.
+        When rounding leaves its point outside, the step is solved again once
+        from that point with every face pulled a relative 1e-12 inward, and
+        when that fails too the origin is returned."""
         y = np.asarray(y, dtype=float)
         poly = self.poly
         if poly.contains(y):
             return y
         target = np.eye(self.d + 1)[-1]
+        start = y
         for inward in (0.0, 1e-12):
-            h = poly.normals @ y - poly.offsets + inward * (1.0 + np.abs(poly.offsets))
+            h = poly.normals @ start - poly.offsets + inward * (1.0 + np.abs(poly.offsets))
             scale = float(np.max(h))
             system = np.vstack([-poly.normals.T, h / scale])
             try:
@@ -125,8 +109,11 @@ class FeasibleRegion:
             except (ValueError, RuntimeError):  # non-finite input, or no convergence
                 continue
             r = system @ u
-            if r[-1] < 1.0 and poly.contains(x := y + r[:-1] * (scale / (1.0 - r[-1]))):
-                return x
+            if r[-1] < 1.0:
+                x = start + r[:-1] * (scale / (1.0 - r[-1]))
+                if poly.contains(x):
+                    return x
+                start = x
         return np.zeros(self.d)
 
 
@@ -237,23 +224,23 @@ def _slsqp_max(model: GrowthModel, region: FeasibleRegion, y0: np.ndarray,
     return region.project(res.x[:d]), res
 
 
-def maximize_robust(theta: UncertaintySet, feasible: Polyhedron, utility: UtilitySpec,
-                    opts: SolveOptions | None = None) -> Solution:
+def maximize_robust(theta: UncertaintySet, feasible: Polyhedron,
+                    utility: UtilitySpec) -> Solution:
     """Maximize the worst-case growth rate over the feasible polytope.
 
     One-dimensional problems are solved by golden-section search on the
-    concave worst-case envelope. Otherwise one smooth epigraph solve (SLSQP)
-    runs from the origin on the final shrink level n, where every jump factor
-    1 + z . y is held at 1/n or more. The growth rate is concave, so a
-    maximizer with none of these faces active is a local, hence global,
-    maximizer of the untightened problem; DidNotConvergeError is raised when
-    one is active, by the relative 1e-8 rule of :func:`_stationarity_weights`. The
-    diagnostics record the level's n, value, SLSQP status, iteration count
-    and smallest jump factor (inf without atoms); a nonzero status is not an
-    error, as the certificate (:func:`certificate_at`) judges the answer.
+    concave worst-case envelope, to golden_max's resolution. Otherwise one
+    smooth epigraph solve (SLSQP) runs from the origin on the shrink level
+    n = SHRINK_LEVEL, where every jump factor 1 + z . y is held at 1/n or
+    more. The growth rate is concave, so a maximizer with none of these faces
+    active is a local, hence global, maximizer of the untightened problem;
+    DidNotConvergeError is raised when one is active, by the relative 1e-8
+    rule of :func:`_stationarity_weights`. The diagnostics record the level's
+    n, value, SLSQP status, iteration count and smallest jump factor (inf
+    without atoms); a nonzero status is not an error, as the certificate
+    (:func:`certificate_at`) judges the answer.
     Raises NotCompactError when the feasible set is unbounded.
     """
-    opts = opts or SolveOptions()
     model = GrowthModel(theta, utility)
     if not feasible.compact:
         raise NotCompactError("the feasible set is unbounded; no maximizer exists in general")
@@ -261,12 +248,11 @@ def maximize_robust(theta: UncertaintySet, feasible: Polyhedron, utility: Utilit
     diagnostics: dict = {}
     if d == 1:
         lo, hi = feasible.bounds
-        y_scalar, value = golden_max(lambda t: model.robust_value(np.array([t])),
-                                     lo[0], hi[0], xtol=min(opts.y_tol * 1e-2, 1e-11))
+        y_scalar, value = golden_max(lambda t: model.robust_value(np.array([t])), lo[0], hi[0])
         y = np.array([y_scalar])
         diagnostics["method"] = "golden-section"
     else:
-        n = opts.shrink_schedule[-1]
+        n = SHRINK_LEVEL
         shrunk = feasible.intersect(natural_constraints(theta, n))
         y, res = _slsqp_max(model, FeasibleRegion(shrunk), np.zeros(d), -1.0 + 0.5 / n)
         value = model.robust_value(y)
@@ -409,17 +395,14 @@ def certificate_at(theta: UncertaintySet, feasible: Polyhedron, utility: Utility
 
 
 def find_saddle(theta: UncertaintySet, feasible: Polyhedron, utility: UtilitySpec,
-                opts: SolveOptions | None = None,
-                certify_tol: float | None = None) -> SaddleCertificate:
-    """Solve for the strategy and certify it (:func:`certificate_at`) at
-    certify_tol, which defaults to 10 * value_tol; an uncertified candidate
-    is raised with SaddleNotCertifiedError.
+                certify_tol: float = 1e-7) -> SaddleCertificate:
+    """Solve for the strategy (:func:`maximize_robust`) and certify it
+    (:func:`certificate_at`) at certify_tol; an uncertified candidate is
+    raised with SaddleNotCertifiedError.
     """
-    opts = opts or SolveOptions()
-    tol = 10.0 * opts.value_tol if certify_tol is None else float(certify_tol)
-    solution = maximize_robust(theta, feasible, utility, opts)
-    certificate = certificate_at(theta, feasible, utility, solution.y_hat, tol)
-    if certificate.passes(tol):
+    solution = maximize_robust(theta, feasible, utility)
+    certificate = certificate_at(theta, feasible, utility, solution.y_hat, certify_tol)
+    if certificate.passes(certify_tol):
         return certificate
     raise SaddleNotCertifiedError(
         "the stationarity mixture's residuals exceed the tolerance", certificate=certificate)

@@ -22,13 +22,12 @@ from rlp import (
     LevyTriplet,
     McEstimate,
     Polyhedron,
-    SolveOptions,
     UncertaintySet,
     UtilitySpec,
     growth_rate,
     natural_constraints,
 )
-from rlp.optimizer import FeasibleRegion, _slsqp_max, golden_max
+from rlp.optimizer import SHRINK_LEVEL, FeasibleRegion, _slsqp_max, golden_max
 from rlp.simulator import _estimate, _log_wealth
 
 # Kelley's cutting planes stop on this relative bracket width, or this many cuts.
@@ -38,12 +37,11 @@ KELLEY_MAX_CUTS = 60
 
 def response_region(theta: UncertaintySet,
                     feasible: Polyhedron) -> tuple[FeasibleRegion, float]:
-    """Region and smoothing floor for best responses: the default schedule's
-    final shrink level in several dimensions, the untightened polytope in one."""
-    n_last = SolveOptions().shrink_schedule[-1]
+    """Region and smoothing floor for best responses: the solver's shrink
+    level in several dimensions, the untightened polytope in one."""
     if feasible.dimension > 1:
-        feasible = feasible.intersect(natural_constraints(theta, n_last))
-    return FeasibleRegion(feasible), -1.0 + 0.5 / n_last
+        feasible = feasible.intersect(natural_constraints(theta, SHRINK_LEVEL))
+    return FeasibleRegion(feasible), -1.0 + 0.5 / SHRINK_LEVEL
 
 
 def single_max(triplet: LevyTriplet, region: FeasibleRegion, utility: UtilitySpec,
@@ -72,7 +70,7 @@ def mixture_min(theta: UncertaintySet, feasible: Polyhedron,
 
     That function of w is convex, and a best response y_w to any mixture
     gives the cut w' -> sum_i w'_i G_i(y_w) below it. From uniform weights,
-    each round runs one best response on the final shrink level (warm-started
+    each round runs one best response on the solver's shrink level (warm-started
     from the last), adds its cut and solves the master LP min t subject to
     cut_j . w <= t over the simplex: its optimum is the lower bound and its
     argmin the next mixture. The smallest best-response value is the upper

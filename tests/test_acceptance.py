@@ -14,7 +14,6 @@ from rlp import (
     JumpMeasure,
     LevyTriplet,
     Polyhedron,
-    SolveOptions,
     UncertaintySet,
     UtilitySpec,
     bounding_box,
@@ -46,9 +45,9 @@ def _verdict(capfd, label: str, ok: bool, elapsed: float):
 def test_criterion_1_reference_box_model(capfd):
     started = time.perf_counter()
     spec = load_model(str(ROOT / "models" / "box_log_jump.json"))
-    solution = maximize_robust(spec.theta, spec.feasible, spec.utility, spec.solver)
+    solution = maximize_robust(spec.theta, spec.feasible, spec.utility)
     value = problem_value(solution.robust_g, spec.utility, spec.x0, spec.horizon)
-    certificate = find_saddle(spec.theta, spec.feasible, spec.utility, spec.solver)
+    certificate = find_saddle(spec.theta, spec.feasible, spec.utility)
     elapsed = time.perf_counter() - started
     ok = (abs(solution.y_hat[0] - 2.0) <= 1e-6
           and abs(value - 0.0929584) <= 1e-6
@@ -61,7 +60,7 @@ def test_criterion_1_reference_box_model(capfd):
 def test_criterion_2_merton_model(capfd):
     started = time.perf_counter()
     spec = load_model(str(ROOT / "models" / "merton_power.json"))
-    solution = maximize_robust(spec.theta, spec.feasible, spec.utility, spec.solver)
+    solution = maximize_robust(spec.theta, spec.feasible, spec.utility)
     value = problem_value(solution.robust_g, spec.utility, spec.x0, spec.horizon)
     elapsed = time.perf_counter() - started
     ok = (abs(solution.y_hat[0] - 3.0) <= 1e-6

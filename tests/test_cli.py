@@ -98,6 +98,21 @@ def test_infinite_values_keep_the_report_valid_json(capsys):
     assert results["within_3p5_sigma"] is True
 
 
+def test_an_overflowing_mean_is_not_agreement(capsys, tmp_path):
+    # over so long a horizon both the Monte Carlo mean and the closed form
+    # overflow to +inf: nothing is compared, so nothing agrees
+    model = json.loads(Path(MERTON).read_text())
+    model["T"] = 1e6
+    status, out = run(capsys, ["simulate", "--model", write_model(tmp_path, json.dumps(model)),
+                               "--paths", "20000"])
+    assert status == 0
+    assert "NaN" not in out
+    results = json.loads(out)["results"]
+    assert results["mc"]["mean"] == results["closed_form"] == "inf"
+    assert results["abs_error"] == "inf"
+    assert results["within_3p5_sigma"] is False
+
+
 def test_simulate_solves_when_no_strategy_is_given(capsys):
     status, report = run_json(
         capsys, ["simulate", "--model", MERTON, "--paths", "2000"])
@@ -397,12 +412,17 @@ def test_solve_reports_its_certificate_in_two_dimensions(capsys, tmp_path):
     assert (solved["gap"], solved["certified"]) == (certificate.gap, True)
 
 
-def test_solver_seed_has_no_effect_in_two_dimensions(capsys, tmp_path):
+@pytest.mark.parametrize("solver", [
+    {"seed": -3},
+    {"value_tol": 1e-3, "y_tol": 1e-13, "shrink_schedule": [2, 3]},
+], ids=["seed", "tolerances-and-schedule"])
+def test_solver_seed_has_no_effect_in_two_dimensions(capsys, tmp_path, solver):
+    # every solver key is validated and digested, and none is read
     model = two_asset_model()
     path = write_model(tmp_path, json.dumps(model))
     status, default = run_json(capsys, ["solve", "--model", path])
     assert status == 0
-    model["solver"] = {"seed": -3}
+    model["solver"] = solver
     path = write_model(tmp_path, json.dumps(model))
     status, seeded = run_json(capsys, ["solve", "--model", path])
     assert status == 0

@@ -19,7 +19,6 @@ from rlp import (
     Polyhedron,
     SaddleCertificate,
     SaddleNotCertifiedError,
-    SolveOptions,
     UncertaintySet,
     UtilitySpec,
     certificate_at,
@@ -31,7 +30,7 @@ from rlp import (
     problem_value,
     verify_saddle,
 )
-from rlp.optimizer import FeasibleRegion, _stationarity_weights, golden_max
+from rlp.optimizer import SHRINK_LEVEL, FeasibleRegion, _stationarity_weights, golden_max
 
 from helpers_instances import (
     BOX_RADIUS,
@@ -104,13 +103,6 @@ def test_problem_value_propagates_minus_infinity():
     assert problem_value(-math.inf, UtilitySpec.power_utility(0.5), 1.0, 1.0) == 0.0
 
 
-def test_solve_options_validation():
-    with pytest.raises(ValueError):
-        SolveOptions(value_tol=0.0)
-    with pytest.raises(ValueError):
-        SolveOptions(shrink_schedule=(16, 4))
-
-
 def test_projection_returns_the_nearest_feasible_point():
     rng = np.random.default_rng(0)
     box_2d = Polyhedron.box([(-1.0, 1.0), (-0.5, 2.0)])
@@ -151,6 +143,14 @@ def test_projection_returns_the_nearest_feasible_point():
     for y in ([300.0, 0.5], [-300.0, 30.0], [100.0, 100.0], [-100.0, -100.0]):
         np.testing.assert_allclose(FeasibleRegion(box_2d).project(np.array(y)),
                                    np.clip(y, [-1.0, -0.5], [1.0, 2.0]), rtol=0, atol=1e-10)
+    # thousands to millions of units outside, where rounding in y + step
+    # exceeds the inward retry's margin: the retry starts from the first
+    # solve's point, so the answer is the nearest corner or edge point
+    unit_box = FeasibleRegion(Polyhedron.box([(0.0, 1.0), (-1.0, 1.0)]))
+    for spread in (1e3, 1e6):
+        for y in rng.normal(0.0, spread, (2000, 2)):
+            np.testing.assert_allclose(unit_box.project(y), np.clip(y, [0.0, -1.0], [1.0, 1.0]),
+                                       rtol=0, atol=1e-12 * (1.0 + np.max(np.abs(y))))
 
 
 def test_worst_vertex_ignores_rounding_at_a_tie():
@@ -273,7 +273,7 @@ def test_a_two_dimensional_verify_runs_no_lp(monkeypatch):
     # least-squares fit, so no LP runs at all
     assert not hasattr(rlp.optimizer, "linprog")
     assert lp_calls == []
-    # find_saddle's one robust solve on the final shrink level; both upper
+    # find_saddle's one robust solve on the shrink level; both upper
     # bounds are arithmetic
     assert slsqp_calls == ["SLSQP"]
 
@@ -304,21 +304,19 @@ def test_solution_is_deterministic():
 
 
 def test_multidimensional_solutions_report_their_certificate():
-    opts = SolveOptions()
     solved = 0
     for seed in range(1000, 1020):
         theta, feasible, u = random_instance(seed)
         if theta.dimension != 2:
             continue
-        solution = maximize_robust(theta, feasible, u, opts)
+        solution = maximize_robust(theta, feasible, u)
         diagnostics = solution.diagnostics
         assert diagnostics["method"] == "slsqp-epigraph"
-        assert certificate_at(theta, feasible, u, solution.y_hat,
-                              opts.value_tol).passes(opts.value_tol)
+        assert certificate_at(theta, feasible, u, solution.y_hat, 1e-8).passes(1e-8)
         levels = diagnostics["levels"]
         assert len(levels) == diagnostics["levels_run"] == 1
         for level in levels:
-            assert level["n"] == opts.shrink_schedule[-1]
+            assert level["n"] == SHRINK_LEVEL
             assert level["min_jump_factor"] > 1.0 / level["n"]
             assert isinstance(level["status"], int) and level["nit"] >= 1
         solved += 1
@@ -635,9 +633,8 @@ def test_saddle_not_certified_carries_the_best_candidate():
     # absurdly small tolerance then rejects the candidate
     theta = UncertaintySet((one_asset(0.02, 0.001), one_asset(0.06, 0.03)))
     feasible, _ = effective_domain(Polyhedron.box([(0.0, 5.0)]), theta)
-    opts = SolveOptions(value_tol=1e-16)
     with pytest.raises(SaddleNotCertifiedError) as info:
-        find_saddle(theta, feasible, LOG, opts)
+        find_saddle(theta, feasible, LOG, certify_tol=1e-15)
     best = info.value.certificate
     assert best is not None
     y_star = 0.04 / 0.0145
