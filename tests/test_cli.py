@@ -412,22 +412,31 @@ def test_solve_reports_its_certificate_in_two_dimensions(capsys, tmp_path):
     assert (solved["gap"], solved["certified"]) == (certificate.gap, True)
 
 
-@pytest.mark.parametrize("solver", [
-    {"seed": -3},
-    {"value_tol": 1e-3, "y_tol": 1e-13, "shrink_schedule": [2, 3]},
-], ids=["seed", "tolerances-and-schedule"])
-def test_solver_seed_has_no_effect_in_two_dimensions(capsys, tmp_path, solver):
-    # every solver key is validated and digested, and none is read
+def solve_with_solver_block(capsys, tmp_path, solver):
+    # the 2-d solve's results without and with the given solver block
     model = two_asset_model()
     path = write_model(tmp_path, json.dumps(model))
     status, default = run_json(capsys, ["solve", "--model", path])
     assert status == 0
     model["solver"] = solver
     path = write_model(tmp_path, json.dumps(model))
-    status, seeded = run_json(capsys, ["solve", "--model", path])
+    status, given = run_json(capsys, ["solve", "--model", path])
     assert status == 0
-    assert seeded["results"] == default["results"]
-    assert seeded["results"]["diagnostics"]["method"] == "slsqp-epigraph"
+    return default["results"], given["results"]
+
+
+def test_solver_seed_has_no_effect_in_two_dimensions(capsys, tmp_path):
+    default, seeded = solve_with_solver_block(capsys, tmp_path, {"seed": -3})
+    assert seeded == default
+    assert seeded["diagnostics"]["method"] == "slsqp-epigraph"
+
+
+def test_solver_tolerances_and_schedule_have_no_effect(capsys, tmp_path):
+    # every solver key is validated and digested, and none is read
+    default, tuned = solve_with_solver_block(
+        capsys, tmp_path, {"value_tol": 1e-3, "y_tol": 1e-13, "shrink_schedule": [2, 3]})
+    assert tuned == default
+    assert tuned["diagnostics"]["method"] == "slsqp-epigraph"
 
 
 @pytest.mark.parametrize("command", ["saddle", "solve"])

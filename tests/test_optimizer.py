@@ -1,7 +1,9 @@
 """Robust maximization, saddle extraction, and the mixture player's bracket."""
 
 import dataclasses
+import inspect
 import itertools
+import json
 import math
 from pathlib import Path
 
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from rlp import (
     DidNotConvergeError,
+    ModelError,
     GrowthModel,
     JumpMeasure,
     LevyTriplet,
@@ -101,6 +104,23 @@ def test_problem_value_propagates_minus_infinity():
     assert problem_value(-math.inf, UtilitySpec.power_utility(-1.0), 1.0, 1.0) == -math.inf
     # for 0 < p < 1 ruin gives utility 0, the infimum of x^p / p
     assert problem_value(-math.inf, UtilitySpec.power_utility(0.5), 1.0, 1.0) == 0.0
+
+
+def test_solve_options_validation(tmp_path):
+    # the solver takes no options; the model's solver block is still
+    # validated when it loads, though nothing reads it
+    assert "options" not in inspect.signature(maximize_robust).parameters
+    assert list(inspect.signature(find_saddle).parameters) == [
+        "theta", "feasible", "utility", "certify_tol"]
+    base = {"dimension": 1, "utility": {"kind": "log"}, "T": 1.0, "x0": 1.0,
+            "Theta": {"vertices": [{"b": [0.1], "c": [[0.04]]}]},
+            "C": {"box": [[0.0, 2.0]]}}
+    path = tmp_path / "model.json"
+    for solver in ({"value_tol": 0.0}, {"y_tol": -1.0}, {"shrink_schedule": [16, 4]},
+                   {"shrink_schedule": [1]}, {"shrink_schedule": []}):
+        path.write_text(json.dumps({**base, "solver": solver}))
+        with pytest.raises(ModelError, match="invalid solver options"):
+            load_model(str(path))
 
 
 def test_projection_returns_the_nearest_feasible_point():
