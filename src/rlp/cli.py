@@ -10,7 +10,8 @@ verify     saddle + independent recheck + Monte Carlo + martingale test
 
 verify draws one Monte Carlo sample. Under power utility its martingale block
 is that sample's expected-utility estimate divided by the closed form, so it
-passes exactly when mc_vs_closed_form does, up to rounding.
+passes exactly when mc_vs_closed_form does, up to rounding, unless the closed
+form overflowed or underflowed to 0: then the block reads inf and fails.
 
 Exit codes: 0 success, 1 operational error (also bad usage), 2 for a run that
 completed but failed certification or an oracle check.
@@ -242,9 +243,14 @@ def _cmd_verify(spec: ProblemSpec, flags: argparse.Namespace) -> tuple[dict, int
         results["martingale"] = {"applicable": False}
     else:
         # E[U(W_T)] = x0^p exp(p T g) / p, so the sample mean over the closed
-        # form estimates E[W_T^p exp(-p T g)] at unit capital, which is 1
-        mart = replace(estimate, mean=estimate.mean / closed,
-                       stderr=estimate.stderr / abs(closed), minus_inf=False)
+        # form estimates E[W_T^p exp(-p T g)] at unit capital, which is 1;
+        # where the closed form overflowed or underflowed to 0 the quotient
+        # is undefined and, as in _agreement, reads (inf, inf) and fails
+        if math.isfinite(closed) and closed != 0.0:
+            mean, stderr = estimate.mean / closed, estimate.stderr / abs(closed)
+        else:
+            mean = stderr = math.inf
+        mart = replace(estimate, mean=mean, stderr=stderr, minus_inf=False)
         _, mart_ok = _agreement(mart.mean, mart.stderr, 1.0)
         results["martingale"] = {"applicable": True, "passed": mart_ok,
                                  **_estimate_dict(mart)}

@@ -7,7 +7,9 @@ time grid: per path one Poisson jump count, atom locations drawn in
 proportion to their rates, and one normal draw. Paths are drawn in
 fixed-size chunks into one buffer per estimate, each chunk from its own
 counter-based Philox stream keyed by (seed, chunk index), so an estimate
-depends only on the seed and the path count.
+depends only on the seed and the path count. The estimate then turns that
+buffer into utilities and reduces it to a mean and a standard error in place,
+so one estimate allocates the sample once.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NegativeWealthError
+from .errors import ModelError, NegativeWealthError
 from .growth import growth_rate
 from .levy import LevyTriplet, UtilitySpec
 from .optimizer import problem_value
@@ -60,7 +62,12 @@ def _log_wealth(triplet: LevyTriplet, pi: np.ndarray, horizon: float,
     jump_proj = jumps.locations @ pi if jumps.m else np.zeros(0)
     probabilities = jumps.rates / total if total > 0.0 else None
 
-    out = np.empty(n_paths)
+    try:
+        out = np.empty(n_paths)
+    except MemoryError as exc:
+        raise ModelError(f"{n_paths} paths need a {8 * n_paths}-byte sample, "
+                         "more memory than can be allocated") from exc
+    owner_index = np.arange(min(n_paths, _CHUNK))
     for chunk_id, start in enumerate(range(0, n_paths, _CHUNK)):
         chunk = out[start:start + _CHUNK]
         count = len(chunk)
@@ -70,16 +77,16 @@ def _log_wealth(triplet: LevyTriplet, pi: np.ndarray, horizon: float,
             counts = rng.poisson(total * horizon, size=count)
             drawn = int(counts.sum())
             if drawn:
-                chosen = rng.choice(jumps.m, size=drawn, p=probabilities)
-                projected = jump_proj[chosen]
+                projected = jump_proj[rng.choice(jumps.m, size=drawn, p=probabilities)]
                 if np.any(projected < -1.0):
                     raise NegativeWealthError(
                         "a jump drove wealth negative; the strategy leaves the "
                         "admissible region")
+                # log(1 + pi.z) per jump, in place, summed per owning path
                 with np.errstate(divide="ignore"):
-                    logs = np.log1p(projected)
-                owners = np.repeat(np.arange(count), counts)
-                jump_sum = np.bincount(owners, weights=logs, minlength=count)
+                    np.log1p(projected, out=projected)
+                jump_sum = np.bincount(np.repeat(owner_index[:count], counts),
+                                       weights=projected, minlength=count)
         # base + scale * gauss + jump_sum, in place and in that order
         rng.standard_normal(out=chunk)
         chunk *= scale
@@ -89,13 +96,24 @@ def _log_wealth(triplet: LevyTriplet, pi: np.ndarray, horizon: float,
 
 
 def _estimate(values: np.ndarray, n_paths: int, seed: int) -> McEstimate:
+    """Mean and standard error of the sample; consumes values.
+
+    The variance is reduced in place in np.std(ddof=1)'s order: subtract the
+    mean, square, sum, divide by n - 1, so both numbers equal NumPy's bit for
+    bit.
+    """
     if np.any(np.isneginf(values)):
         return McEstimate(mean=-math.inf, stderr=math.inf, n_paths=n_paths,
                           seed=seed, minus_inf=True)
     mean = float(np.mean(values))
     if not math.isfinite(mean):
         return McEstimate(mean=mean, stderr=math.inf, n_paths=n_paths, seed=seed)
-    stderr = float(np.std(values, ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
+    if n_paths == 1:
+        return McEstimate(mean=mean, stderr=0.0, n_paths=n_paths, seed=seed)
+    values -= mean
+    values *= values
+    variance = float(values.sum()) / (n_paths - 1)
+    stderr = math.sqrt(variance) / math.sqrt(n_paths)
     return McEstimate(mean=mean, stderr=stderr, n_paths=n_paths, seed=seed)
 
 
@@ -112,13 +130,18 @@ def mc_expected_utility(triplet: LevyTriplet, pi: np.ndarray, utility: UtilitySp
         raise ValueError("the horizon must be positive")
     if n_paths < 1:
         raise ValueError("at least one path is required")
-    log_w = _log_wealth(triplet, pi, horizon, n_paths, seed)
+    # utilities in place, in the order of math.log(x0) + log_w and
+    # (x0 ** p) * np.exp(p * log_w) / p
+    utilities = _log_wealth(triplet, pi, horizon, n_paths, seed)
     if utility.is_log:
-        utilities = math.log(x0) + log_w
+        utilities += math.log(x0)
     else:
         p = utility.p
         with np.errstate(over="ignore"):
-            utilities = (x0 ** p) * np.exp(p * log_w) / p
+            utilities *= p
+            np.exp(utilities, out=utilities)
+            utilities *= x0 ** p
+            utilities /= p
     return _estimate(utilities, n_paths, seed)
 
 

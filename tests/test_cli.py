@@ -98,12 +98,19 @@ def test_infinite_values_keep_the_report_valid_json(capsys):
     assert results["within_3p5_sigma"] is True
 
 
+def long_horizon(tmp_path, path, horizon, drop_jumps=False):
+    model = json.loads(Path(path).read_text())
+    model["T"] = horizon
+    if drop_jumps:
+        for vertex in model["Theta"]["vertices"]:
+            vertex.pop("jumps", None)
+    return write_model(tmp_path, json.dumps(model))
+
+
 def test_an_overflowing_mean_is_not_agreement(capsys, tmp_path):
     # over so long a horizon both the Monte Carlo mean and the closed form
     # overflow to +inf: nothing is compared, so nothing agrees
-    model = json.loads(Path(MERTON).read_text())
-    model["T"] = 1e6
-    status, out = run(capsys, ["simulate", "--model", write_model(tmp_path, json.dumps(model)),
+    status, out = run(capsys, ["simulate", "--model", long_horizon(tmp_path, MERTON, 1e6),
                                "--paths", "20000"])
     assert status == 0
     assert "NaN" not in out
@@ -111,6 +118,35 @@ def test_an_overflowing_mean_is_not_agreement(capsys, tmp_path):
     assert results["mc"]["mean"] == results["closed_form"] == "inf"
     assert results["abs_error"] == "inf"
     assert results["within_3p5_sigma"] is False
+
+
+@pytest.mark.parametrize("path, horizon, drop_jumps", [
+    (MERTON, 1e6, False),        # Monte Carlo mean and closed form both +inf
+    (NEGATIVE_POWER, 1e5, True),  # closed form underflows to -0.0
+], ids=["overflow", "underflow"])
+def test_an_undefined_martingale_quotient_fails_without_nan(capsys, tmp_path, path,
+                                                            horizon, drop_jumps):
+    model = long_horizon(tmp_path, path, horizon, drop_jumps)
+    status, out = run(capsys, ["verify", "--model", model, "--paths", "20000"])
+    assert status == 2
+    assert "NaN" not in out
+    results = json.loads(out)["results"]
+    assert results["martingale"]["mean"] == results["martingale"]["stderr"] == "inf"
+    assert results["martingale"]["passed"] is False
+    assert results["passed"] is False
+
+
+def test_a_path_count_too_large_to_allocate_exits_1(capsys):
+    # 10**15 paths need 8e15 bytes: the allocation fails at once, touching
+    # no memory
+    n_paths = 10 ** 15
+    status = main(["simulate", "--model", MERTON, "--pi", "0.5", "--paths", str(n_paths)])
+    captured = capsys.readouterr()
+    assert status == 1 and captured.err == ""
+    error = json.loads(captured.out)["results"]["error"]
+    assert error["code"] == "ModelError"
+    assert f"{n_paths} paths" in error["message"]
+    assert f"{8 * n_paths}-byte" in error["message"]
 
 
 def test_simulate_solves_when_no_strategy_is_given(capsys):

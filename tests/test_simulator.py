@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from rlp import (
     load_model,
     mc_expected_utility,
 )
-from rlp.simulator import _log_wealth
+from rlp.simulator import _estimate, _log_wealth
 
 from helpers_instances import random_sim_instance
 from helpers_oracle import martingale_check
@@ -116,3 +117,64 @@ def test_single_path_estimate_has_no_stderr():
     est = mc_expected_utility(jump_diffusion(), np.array([0.5]), LOG, 1.0, 1.0, 1, 0)
     assert est.n_paths == 1
     assert est.stderr == 0.0
+
+
+def numpy_estimate(values):
+    """Mean and standard error the out-of-place way: np.mean and
+    np.std(ddof=1) / sqrt(n)."""
+    n = len(values)
+    stderr = float(np.std(values, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return float(np.mean(values)), stderr
+
+
+def test_estimate_reduces_in_place_to_numpys_bits():
+    rng = np.random.default_rng(3)
+    for n in (2, 3, 17, 1000, 25001, 300000):
+        for scale in (1e-8, 1.0, 1e8):
+            values = scale * (rng.standard_normal(n) ** 3 + rng.normal())
+            est = _estimate(values.copy(), n, 0)
+            assert (est.mean, est.stderr) == numpy_estimate(values)
+
+
+def test_estimate_of_non_finite_and_single_samples():
+    est = _estimate(np.array([1.0, -math.inf, 2.0]), 3, 5)
+    assert (est.mean, est.stderr, est.minus_inf) == (-math.inf, math.inf, True)
+    est = _estimate(np.array([1.0, math.inf, 2.0]), 3, 5)
+    assert (est.mean, est.stderr, est.minus_inf) == (math.inf, math.inf, False)
+    est = _estimate(np.array([0.25]), 1, 5)
+    assert (est.mean, est.stderr, est.minus_inf) == (0.25, 0.0, False)
+
+
+@pytest.mark.parametrize("utility", [LOG, UtilitySpec.power_utility(0.5),
+                                     UtilitySpec.power_utility(-1.0)],
+                         ids=["log", "p=0.5", "p=-1"])
+def test_mc_estimate_matches_the_out_of_place_expressions(utility):
+    # the utilities are formed in place in the order of these expressions
+    t, pi, x0 = jump_diffusion(), np.array([0.8]), 1.3
+    log_w = _log_wealth(t, pi, 1.5, 60001, 5)
+    if utility.is_log:
+        utilities = math.log(x0) + log_w
+    else:
+        p = utility.p
+        utilities = (x0 ** p) * np.exp(p * log_w) / p
+    est = mc_expected_utility(t, pi, utility, x0, 1.5, 60001, 5)
+    assert (est.mean, est.stderr) == numpy_estimate(utilities)
+
+
+@pytest.mark.parametrize("name", ["box_log_jump", "merton_power", "negative_power_jump"])
+def test_an_estimate_allocates_its_sample_once(name):
+    # the path buffer becomes the utilities and is reduced in place; the
+    # rest of the peak is chunk-sized (jump counts, draws and sums)
+    spec = load_model(str(ROOT / "models" / f"{name}.json"))
+    args = (spec.theta.vertices[0], np.array([1.0]), spec.utility, spec.x0, spec.horizon)
+    mc_expected_utility(*args, 1000, 1)
+    n_paths = 100000
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        mc_expected_utility(*args, n_paths, 1)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.0 * 8 * n_paths
