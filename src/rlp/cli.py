@@ -135,13 +135,17 @@ def _estimate_dict(estimate) -> dict:
     }
 
 
-def _agreement(mean: float, stderr: float, reference: float) -> tuple[float, bool]:
+def _agreement(mean: float, stderr: float, reference: float,
+               zero_underflowed: bool = False) -> tuple[float, bool]:
     """Absolute error and the 3.5-sigma agreement flag. Both values at -inf
     (log utility of a strategy that can go bankrupt) agree; any other
-    non-finite pair is (inf, False), as nothing can be compared."""
+    non-finite pair is (inf, False), as nothing can be compared. So is a
+    reference of 0 when zero_underflowed: a power-utility closed form
+    x0^p e^{pTg}/p never vanishes, so its 0 is an underflow."""
     if mean == reference == -math.inf:
         return 0.0, True
-    if not (math.isfinite(mean) and math.isfinite(reference)):
+    if not (math.isfinite(mean) and math.isfinite(reference)) or (
+            zero_underflowed and reference == 0.0):
         return math.inf, False
     error = abs(mean - reference)
     return error, bool(error <= 3.5 * stderr)
@@ -195,7 +199,7 @@ def _cmd_simulate(spec: ProblemSpec, flags: argparse.Namespace) -> tuple[dict, i
                                    spec.horizon, n_paths, seed)
     closed = closed_form_expected_utility(vertex, pi, spec.utility, spec.x0,
                                           spec.horizon)
-    error, agree = _agreement(estimate.mean, estimate.stderr, closed)
+    error, agree = _agreement(estimate.mean, estimate.stderr, closed, not spec.utility.is_log)
     results = {
         "pi": [float(v) for v in pi],
         "pi_source": source,
@@ -231,7 +235,7 @@ def _cmd_verify(spec: ProblemSpec, flags: argparse.Namespace) -> tuple[dict, int
                                    spec.horizon, n_paths, seed)
     closed = closed_form_expected_utility(theta_hat, y_hat, spec.utility, spec.x0,
                                           spec.horizon)
-    error, mc_ok = _agreement(estimate.mean, estimate.stderr, closed)
+    error, mc_ok = _agreement(estimate.mean, estimate.stderr, closed, not spec.utility.is_log)
     results["mc_vs_closed_form"] = {
         "mc": _estimate_dict(estimate),
         "closed_form": float(closed),

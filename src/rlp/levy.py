@@ -41,11 +41,86 @@ def _readonly(a) -> np.ndarray:
     return out
 
 
-def _is_symmetric(c: np.ndarray) -> bool:
-    """Entrywise |c - c^T| <= SYMMETRY_TOL for a square c. A non-finite entry
-    makes it False, where np.allclose would call equal infinities close."""
+def _built(cls, **fields):
+    """An instance of the frozen dataclass cls holding fields that are already
+    in its canonical form, so __post_init__ is skipped."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _symmetric(c: np.ndarray) -> np.ndarray:
+    """Per matrix of the (k, d, d) stack c, entrywise |c - c^T| <= SYMMETRY_TOL.
+    A non-finite entry makes it False, where np.allclose would call equal
+    infinities close."""
     with np.errstate(invalid="ignore"):
-        return bool(np.abs(c - c.T).max() <= SYMMETRY_TOL)
+        return np.abs(c - c.transpose(0, 2, 1)).max(axis=(1, 2)) <= SYMMETRY_TOL
+
+
+def _halves(c: np.ndarray) -> np.ndarray:
+    """(c + c^T) / 2 for each matrix of the stack."""
+    return (c + c.transpose(0, 2, 1)) / 2.0
+
+
+def _clamped(c: np.ndarray) -> np.ndarray:
+    """The (k, d, d) stack c with each symmetric matrix whose smallest
+    eigenvalue lies in [-PSD_TOL, 0) rebuilt from the eigenpairs of its
+    symmetric part with those eigenvalues clipped to 0; one batched eigh."""
+    sym = np.flatnonzero(_symmetric(c))
+    if not len(sym):
+        return c
+    w, v = np.linalg.eigh(_halves(c[sym]))
+    low = w.min(axis=1)
+    clip = (low >= -PSD_TOL) & (low < 0.0)
+    if not clip.any():
+        return c
+    c = c.copy()
+    w, v = np.clip(w[clip], 0.0, None), v[clip]
+    c[sym[clip]] = (v * w[:, None, :]) @ v.transpose(0, 2, 1)
+    return c
+
+
+def _violations(drifts: np.ndarray, diffusions: np.ndarray, rates: np.ndarray,
+                locations: np.ndarray, counts: Sequence[int]) -> list[tuple[int, str]]:
+    """(vertex, message) for every rule a vertex breaks, in vertex order.
+
+    The vertices are stacked: drifts (k, d), diffusions (k, d, d), and the
+    listed jump atoms, rates (n,) and locations (n, d), of which vertex i owns
+    the next counts[i]. A vertex with a non-finite diffusion matrix gets no
+    further checks. The PSD test runs one batched eigvalsh over the finite
+    symmetric matrices.
+    """
+    k = len(drifts)
+    bad_b = ~np.isfinite(drifts).all(axis=1)
+    bad_c = ~np.isfinite(diffusions).all(axis=(1, 2))
+    sym = _symmetric(diffusions)
+    low = np.zeros(k)
+    if sym.any():
+        low[sym] = np.linalg.eigvalsh(_halves(diffusions[sym])).min(axis=1)
+    owner = np.repeat(np.arange(k), counts)
+    bad_atom = np.zeros((3, k), dtype=bool)
+    for row, broken in enumerate((
+            ~(np.isfinite(rates) & np.isfinite(locations).all(axis=1)),
+            rates <= 0.0,
+            np.linalg.norm(locations, axis=1) == 0.0)):
+        bad_atom[row, owner[broken]] = True
+    bad_atom[:, bad_c] = False
+    found = []
+    for i in np.flatnonzero(bad_b | bad_c | ~sym | (low < -PSD_TOL) | bad_atom.any(axis=0)):
+        if bad_b[i]:
+            found.append((i, "drift vector has non-finite entries"))
+        if bad_c[i]:
+            found.append((i, "diffusion matrix has non-finite entries"))
+            continue
+        if not sym[i]:
+            found.append((i, "diffusion matrix is not symmetric"))
+        elif low[i] < -PSD_TOL:
+            found.append((i, f"diffusion matrix is not PSD (min eigenvalue {low[i]:.3e})"))
+        found.extend((i, message) for message, bad in zip(
+            ("jump measure has non-finite entries", "every jump rate must be strictly positive",
+             "jump atom at the origin is not allowed"), bad_atom[:, i]) if bad)
+    return [(int(i), message) for i, message in found]
 
 
 def truncation(z: np.ndarray) -> np.ndarray:
@@ -125,7 +200,10 @@ class LevyTriplet:
     """Model characteristics (b, c, F): drift, diffusion matrix, jump measure.
 
     The diffusion matrix must be symmetric positive semidefinite; eigenvalues
-    down to -1e-12 are tolerated and clamped to zero at construction.
+    down to -1e-12 are tolerated and clamped to zero at construction: the
+    matrix is rebuilt from the eigenpairs of its symmetric part with those
+    eigenvalues clipped, by the batched rule :meth:`UncertaintySet.stacked`
+    applies to a whole vertex stack.
     """
 
     b: np.ndarray
@@ -138,11 +216,8 @@ class LevyTriplet:
         c = np.asarray(self.c, dtype=float)
         if c.ndim == 0:
             c = c.reshape(1, 1)
-        if c.shape == (d, d) and _is_symmetric(c):
-            sym = (c + c.T) / 2.0
-            w, v = np.linalg.eigh(sym)
-            if w.min() >= -PSD_TOL and w.min() < 0.0:
-                c = (v * np.clip(w, 0.0, None)) @ v.T
+        if c.shape == (d, d):
+            c = _clamped(c[None])[0]
         jumps = self.jumps
         if jumps.m == 0 and jumps.dimension != d:
             jumps = JumpMeasure.empty(d)
@@ -156,36 +231,49 @@ class LevyTriplet:
 
 
 def validate_triplet(triplet: LevyTriplet) -> list[str]:
-    """Check one triplet and return a list of violation messages (empty if valid)."""
-    msgs: list[str] = []
+    """Check one triplet and return a list of violation messages (empty if valid).
+
+    Once the shapes fit, these are the rules :func:`_violations` applies to a
+    whole vertex stack, here for one vertex.
+    """
     d = triplet.dimension
-    if not np.all(np.isfinite(triplet.b)):
-        msgs.append("drift vector has non-finite entries")
     c = triplet.c
     if c.shape != (d, d):
-        msgs.append(f"diffusion matrix has shape {c.shape}, expected {(d, d)}")
-        return msgs
-    if not np.all(np.isfinite(c)):
-        msgs.append("diffusion matrix has non-finite entries")
-        return msgs
-    if not _is_symmetric(c):
-        msgs.append("diffusion matrix is not symmetric")
-    else:
-        w = np.linalg.eigvalsh((c + c.T) / 2.0)
-        if w.min() < -PSD_TOL:
-            msgs.append(f"diffusion matrix is not PSD (min eigenvalue {w.min():.3e})")
+        msgs = [] if np.all(np.isfinite(triplet.b)) else ["drift vector has non-finite entries"]
+        return msgs + [f"diffusion matrix has shape {c.shape}, expected {(d, d)}"]
     jm = triplet.jumps
-    if jm.locations.shape[1] != d:
-        msgs.append("jump locations do not match the drift dimension")
+    if jm.locations.shape[1] == d:
+        return [m for _, m in _violations(triplet.b[None], c[None], jm.rates, jm.locations,
+                                          [jm.m])]
+    msgs = [m for _, m in _violations(triplet.b[None], c[None], np.zeros(0), np.zeros((0, d)),
+                                      [0])]
+    if "diffusion matrix has non-finite entries" in msgs:
         return msgs
-    if jm.m:
-        if not np.all(np.isfinite(jm.rates)) or not np.all(np.isfinite(jm.locations)):
-            msgs.append("jump measure has non-finite entries")
-        if np.any(jm.rates <= 0.0):
-            msgs.append("every jump rate must be strictly positive")
-        if np.any(np.linalg.norm(jm.locations, axis=1) == 0.0):
-            msgs.append("jump atom at the origin is not allowed")
-    return msgs
+    return msgs + ["jump locations do not match the drift dimension"]
+
+
+def _atom_table(rates: np.ndarray, locations: np.ndarray,
+                counts: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct locations (m, d) of the listed atoms, rates (n,) and
+    locations (n, d) of which vertex i owns the next counts[i], and their
+    rates (m, k). Equal rows are one atom, (z, -0.0) and (z, 0.0) included,
+    numbered by first appearance; repeated listings add up in listing order.
+    """
+    atoms: dict[tuple, int] = {}
+    atom = [atoms.setdefault(row, len(atoms)) for row in map(tuple, locations.tolist())]
+    table = np.zeros((len(atoms), len(counts)))
+    np.add.at(table, (np.array(atom, dtype=np.intp), np.repeat(np.arange(len(counts)), counts)),
+              rates)
+    return _readonly(np.reshape(list(atoms), (-1, locations.shape[1]))), _readonly(table)
+
+
+def validate_vertices(theta: "UncertaintySet") -> list[str]:
+    """:func:`validate_triplet`'s messages for every vertex of the set at
+    once, each as "vertex i: message"."""
+    jumps = [v.jumps for v in theta.vertices]
+    return [f"vertex {i}: {message}" for i, message in _violations(
+        theta.drifts, theta.diffusions, np.concatenate([j.rates for j in jumps]),
+        np.concatenate([j.locations for j in jumps]), [j.m for j in jumps])]
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,8 +283,9 @@ class UncertaintySet:
     no-bankruptcy faces read: ``drifts`` (k, d), ``diffusions`` (k, d, d),
     the distinct jump ``locations`` (m, d) in order of first appearance,
     merged by value so that (z, -0.0) and (z, 0.0) are one atom, and
-    ``rates`` (m, k), summed over repeated listings and zero where a vertex
-    lacks an atom.
+    ``rates`` (m, k), summed over repeated listings in listing order and zero
+    where a vertex lacks an atom. :meth:`stacked` builds a set straight from
+    such arrays.
     """
 
     vertices: tuple[LevyTriplet, ...]
@@ -208,18 +297,44 @@ class UncertaintySet:
         d = vertices[0].dimension
         if any(v.dimension != d or v.jumps.dimension != d for v in vertices):
             raise ValueError("all vertices must share one dimension")
-        listed = np.concatenate([v.jumps.locations for v in vertices])
-        owner = np.repeat(np.arange(len(vertices)), [v.jumps.m for v in vertices])
-        _, first, atom = np.unique(listed, axis=0, return_index=True, return_inverse=True)
-        rates = np.zeros((len(first), len(vertices)))
-        # np.unique sorts the distinct atoms; the table keeps first appearance
-        np.add.at(rates, (np.argsort(np.argsort(first))[atom.ravel()], owner),
-                  np.concatenate([v.jumps.rates for v in vertices]))
+        jumps = [v.jumps for v in vertices]
+        locations, rates = _atom_table(np.concatenate([j.rates for j in jumps]),
+                                       np.concatenate([j.locations for j in jumps]),
+                                       [j.m for j in jumps])
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "drifts", _readonly([v.b for v in vertices]))
         object.__setattr__(self, "diffusions", _readonly([v.c for v in vertices]))
-        object.__setattr__(self, "locations", _readonly(listed[np.sort(first)]))
-        object.__setattr__(self, "rates", _readonly(rates))
+        object.__setattr__(self, "locations", locations)
+        object.__setattr__(self, "rates", rates)
+
+    @classmethod
+    def stacked(cls, drifts: np.ndarray, diffusions: np.ndarray, rates: np.ndarray,
+                locations: np.ndarray, counts: Sequence[int],
+                approximate: Sequence[bool]) -> "UncertaintySet":
+        """The set of the k vertices stacked as drifts (k, d) and diffusions
+        (k, d, d), vertex i carrying the next counts[i] of the listed atoms
+        rates (n,) and locations (n, d), discretized where approximate[i].
+
+        Each diffusion matrix is clamped as :class:`LevyTriplet` clamps it,
+        by one batched eigh for the whole stack, and the vertex objects are
+        views of these arrays, so no matrix is decomposed on its own.
+        """
+        arrays = [np.array(a, dtype=float) for a in (drifts, diffusions, rates, locations)]
+        arrays[1] = _clamped(arrays[1])
+        arrays[3] = arrays[3].reshape(-1, arrays[0].shape[1])
+        for a in arrays:
+            a.setflags(write=False)
+        drifts, diffusions, rates, locations = arrays
+        ends = np.cumsum(counts).tolist()
+        vertices = tuple(
+            _built(LevyTriplet, b=b, c=c, jumps=_built(
+                JumpMeasure, rates=rates[start:end], locations=locations[start:end],
+                approximate=bool(flag)))
+            for b, c, start, end, flag in zip(drifts, diffusions, [0] + ends, ends,
+                                              approximate))
+        table, table_rates = _atom_table(rates, locations, counts)
+        return _built(cls, vertices=vertices, drifts=drifts, diffusions=diffusions,
+                      locations=table, rates=table_rates)
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -527,15 +642,14 @@ def compile_box_to_vertices(*, b_intervals: Sequence[Sequence[float]],
             f"{n_free} free interval parameters enumerate {2 ** n_free} corners "
             f"(cap {MAX_BOX_VERTICES})")
     d = len(b_intervals)
-    base = np.asarray(c_base, dtype=float)
-    vertices = []
-    for corner in itertools.product(*params):
-        b = np.array(corner[:d])
-        with np.errstate(over="ignore"):  # validate_triplet refuses the inf
-            c = corner[d] * base
-        atoms = [(rate, z) for rate, z in zip(corner[d + 1:], atom_locations) if rate > 0.0]
-        vertices.append(LevyTriplet(b, c, JumpMeasure.from_atoms(atoms, dimension=d)))
-    return UncertaintySet(tuple(vertices))
+    corners = np.array(list(itertools.product(*params)), dtype=float)
+    with np.errstate(over="ignore"):  # the loader's validation refuses the inf
+        diffusions = corners[:, d, None, None] * np.asarray(c_base, dtype=float)
+    kept = corners[:, d + 1:] > 0.0
+    locations = np.reshape(np.asarray(atom_locations, dtype=float), (-1, d))
+    return UncertaintySet.stacked(corners[:, :d], diffusions, corners[:, d + 1:][kept],
+                                  locations[np.nonzero(kept)[1]], kept.sum(axis=1),
+                                  [False] * len(corners))
 
 
 def discretize_density(density: Callable[[float], float],

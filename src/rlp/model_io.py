@@ -20,8 +20,6 @@ import numpy as np
 
 from .errors import FileIoError, ModelError, NanResultError, ParseError, SchemaError
 from .levy import (
-    JumpMeasure,
-    LevyTriplet,
     Polyhedron,
     UncertaintySet,
     UtilitySpec,
@@ -29,7 +27,7 @@ from .levy import (
     compile_box_to_vertices,
     discretize_density,
     effective_domain,
-    validate_triplet,
+    validate_vertices,
 )
 
 _TOP_KEYS = {"dimension", "utility", "T", "x0", "C", "Theta", "solver", "simulation"}
@@ -79,9 +77,12 @@ def _require(condition: bool, message: str):
 
 def _fields(obj, where: str, allowed) -> dict:
     """The JSON object obj, once every key of it is in allowed."""
-    _require(isinstance(obj, dict), f"'{where}' must be an object")
+    # the messages are formatted only on failure: this runs once per atom
+    if not isinstance(obj, dict):
+        raise SchemaError(f"'{where}' must be an object")
     for key in obj:
-        _require(key in allowed, f"unknown key '{key}' in '{where}'")
+        if key not in allowed:
+            raise SchemaError(f"unknown key '{key}' in '{where}'")
     return obj
 
 
@@ -89,6 +90,13 @@ def _is_number(obj) -> bool:
     """A finite number that fits a float; Python's json also admits NaN and Infinity."""
     return (isinstance(obj, (int, float)) and not isinstance(obj, bool)
             and abs(obj) <= sys.float_info.max)
+
+
+def _all_numbers(values: list) -> bool:
+    """_is_number of every entry; a list of floats only is tested in C."""
+    if set(map(type, values)) == {float}:
+        return all(map(math.isfinite, values))
+    return all(map(_is_number, values))
 
 
 def _number(obj, name: str) -> float:
@@ -102,24 +110,28 @@ def _integer(obj, name: str) -> int:
     return obj
 
 
+def _numbers(obj, name: str, length: int | None = None) -> list:
+    """obj, once it is a list of finite numbers (of the given length)."""
+    if not (isinstance(obj, list) and _all_numbers(obj)):
+        raise SchemaError(f"'{name}' must be a list of finite numbers")
+    if length is not None and len(obj) != length:
+        raise SchemaError(f"'{name}' must have length {length}")
+    return obj
+
+
 def _vector(obj, name: str, length: int | None = None) -> np.ndarray:
-    _require(isinstance(obj, list) and all(_is_number(v) for v in obj),
-             f"'{name}' must be a list of finite numbers")
-    vec = np.array(obj, dtype=float)
-    if length is not None:
-        _require(len(vec) == length, f"'{name}' must have length {length}")
-    return vec
+    return np.array(_numbers(obj, name, length), dtype=float)
 
 
-def _matrix(obj, name: str, dimension: int) -> np.ndarray:
-    """A dimension x dimension matrix given as a list of rows, or as a bare
+def _matrix(obj, name: str, dimension: int) -> list:
+    """A dimension x dimension matrix as a list of rows, given so or as a bare
     number in one dimension."""
     if isinstance(obj, (int, float)) and not isinstance(obj, bool):
         _require(dimension == 1, f"'{name}' must be a matrix for dimension > 1")
-        return np.array([[_number(obj, name)]])
+        return [[_number(obj, name)]]
     _require(isinstance(obj, list) and len(obj) == dimension,
              f"'{name}' must be a {dimension}x{dimension} matrix")
-    return np.array([_vector(row, name, dimension) for row in obj])
+    return [_numbers(row, name, dimension) for row in obj]
 
 
 def _parse_utility(obj) -> UtilitySpec:
@@ -141,23 +153,24 @@ def _parse_utility(obj) -> UtilitySpec:
         raise ModelError(f"invalid utility: {exc}") from exc
 
 
-def _parse_jumps(obj, dimension: int, where: str) -> JumpMeasure:
+def _parse_jumps(obj, dimension: int, where: str) -> tuple[list, list, bool]:
+    """One vertex's listed atoms: rates, locations, and whether they
+    discretize a density."""
     if obj is None:
-        return JumpMeasure.empty(dimension)
+        return [], [], False
     obj = _fields(obj, where, ("atoms", "density"))
     _require(("atoms" in obj) != ("density" in obj),
              f"'{where}' needs exactly one of 'atoms' or 'density'")
     if "atoms" in obj:
         atoms = obj["atoms"]
         _require(isinstance(atoms, list), f"'{where}.atoms' must be a list")
-        pairs = []
+        rates, locations = [], []
         for j, atom in enumerate(atoms):
             atom = _fields(atom, f"{where}.atoms[{j}]", ("rate", "location"))
-            rate = _number(atom.get("rate"), f"{where}.atoms[{j}].rate")
-            location = _vector(atom.get("location"), f"{where}.atoms[{j}].location",
-                               dimension)
-            pairs.append((rate, location))
-        return JumpMeasure.from_atoms(pairs, dimension=dimension)
+            rates.append(_number(atom.get("rate"), f"{where}.atoms[{j}].rate"))
+            locations.append(_numbers(atom.get("location"), f"{where}.atoms[{j}].location",
+                                      dimension))
+        return rates, locations, False
     density = _fields(obj["density"], f"{where}.density",
                       ("form", "level", "slope", "support", "grid_points"))
     _require(dimension == 1, "density-specified jumps require dimension 1")
@@ -169,17 +182,28 @@ def _parse_jumps(obj, dimension: int, where: str) -> JumpMeasure:
     support = _vector(density.get("support"), f"{where}.density.support", 2)
     grid_points = _integer(density.get("grid_points", 16), f"{where}.density.grid_points")
     try:
-        return discretize_density(lambda z: level + slope * z,
-                                  (support[0], support[1]), grid_points)
+        jumps = discretize_density(lambda z: level + slope * z,
+                                   (support[0], support[1]), grid_points)
     except ValueError as exc:
         raise ModelError(f"invalid '{where}.density': {exc}") from exc
+    return jumps.rates.tolist(), jumps.locations.tolist(), True
 
 
-def _parse_triplet(obj, dimension: int, where: str) -> LevyTriplet:
-    obj = _fields(obj, where, ("b", "c", "jumps"))
-    b = _vector(obj.get("b"), f"{where}.b", dimension)
-    c = _matrix(obj.get("c"), f"{where}.c", dimension)
-    return LevyTriplet(b, c, _parse_jumps(obj.get("jumps"), dimension, f"{where}.jumps"))
+def _parse_vertices(vertices, dimension: int) -> UncertaintySet:
+    """A vertex list, parsed straight into the stacked arrays of the set."""
+    drifts, diffusions, rates, locations, counts, approximate = [], [], [], [], [], []
+    for i, vertex in enumerate(vertices):
+        where = f"Theta.vertices[{i}]"
+        vertex = _fields(vertex, where, ("b", "c", "jumps"))
+        drifts.append(_numbers(vertex.get("b"), f"{where}.b", dimension))
+        diffusions.append(_matrix(vertex.get("c"), f"{where}.c", dimension))
+        jump_rates, jump_locations, discretized = _parse_jumps(
+            vertex.get("jumps"), dimension, f"{where}.jumps")
+        rates += jump_rates
+        locations += jump_locations
+        counts.append(len(jump_rates))
+        approximate.append(discretized)
+    return UncertaintySet.stacked(drifts, diffusions, rates, locations, counts, approximate)
 
 
 def _parse_interval(obj, name: str) -> tuple[float, float]:
@@ -196,8 +220,7 @@ def _parse_theta(obj, dimension: int) -> UncertaintySet:
         vertices = obj["vertices"]
         _require(isinstance(vertices, list) and vertices,
                  "'Theta.vertices' must be a nonempty list")
-        return UncertaintySet(tuple(_parse_triplet(vertex, dimension, f"Theta.vertices[{i}]")
-                                    for i, vertex in enumerate(vertices)))
+        return _parse_vertices(vertices, dimension)
     box = _fields(obj["box"], "Theta.box", ("b", "c_scale", "c_base", "atoms"))
     b_rows = box.get("b")
     _require(isinstance(b_rows, list) and len(b_rows) == dimension,
@@ -205,7 +228,7 @@ def _parse_theta(obj, dimension: int) -> UncertaintySet:
     b_intervals = [_parse_interval(row, f"Theta.box.b[{i}]") for i, row in enumerate(b_rows)]
     c_scale = _parse_interval(box.get("c_scale", [1.0, 1.0]), "Theta.box.c_scale")
     c_base = (np.eye(dimension) if box.get("c_base") is None
-              else _matrix(box["c_base"], "Theta.box.c_base", dimension))
+              else np.array(_matrix(box["c_base"], "Theta.box.c_base", dimension)))
     atoms = box.get("atoms", [])
     _require(isinstance(atoms, list), "'Theta.box.atoms' must be a list")
     locations, rate_intervals = [], []
@@ -297,12 +320,12 @@ def _resolved_dict(dimension: int, utility: UtilitySpec, horizon: float, x0: flo
         "utility": {"kind": utility.kind, "p": utility.p, "epsilon": utility.epsilon},
         "T": horizon,
         "x0": x0,
-        "C": {"halfspaces": [{"normal": list(n), "offset": float(o)}
-                             for n, o in zip(constraints.normals, constraints.offsets)]},
+        "C": {"halfspaces": [{"normal": n, "offset": o} for n, o in
+                             zip(constraints.normals.tolist(), constraints.offsets.tolist())]},
         "Theta": {"vertices": [
-            {"b": list(v.b), "c": [list(row) for row in v.c],
-             "jumps": {"atoms": [{"rate": float(r), "location": list(z)}
-                                 for r, z in zip(v.jumps.rates, v.jumps.locations)]}}
+            {"b": v.b.tolist(), "c": v.c.tolist(),
+             "jumps": {"atoms": [{"rate": r, "location": z} for r, z in
+                                 zip(v.jumps.rates.tolist(), v.jumps.locations.tolist())]}}
             for v in theta.vertices]},
         "solver": solver,
         "simulation": {"n_paths": simulation.n_paths, "seed": simulation.seed},
@@ -311,6 +334,11 @@ def _resolved_dict(dimension: int, utility: UtilitySpec, horizon: float, x0: flo
 
 def load_model(path: str) -> ProblemSpec:
     """Load, validate, and resolve a JSON model file.
+
+    A vertex list is parsed in one pass straight into stacked arrays (see
+    :meth:`UncertaintySet.stacked`), and every vertex is checked at once by
+    the rules of :func:`validate_triplet`, so the diffusion matrices are
+    decomposed in two batched calls, not one or two per vertex.
 
     Raises ParseError for invalid JSON, SchemaError for structural problems,
     and ModelError for well-formed files describing invalid problems: bad
@@ -346,10 +374,7 @@ def load_model(path: str) -> ProblemSpec:
     constraints = _parse_constraints(raw.get("C"), dimension)
     resolved_solver = _parse_solver(raw.get("solver"))
     simulation = _parse_simulation(raw.get("simulation"))
-    violations = []
-    for i, vertex in enumerate(theta.vertices):
-        for message in validate_triplet(vertex):
-            violations.append(f"vertex {i}: {message}")
+    violations = validate_vertices(theta)
     if violations:
         raise ModelError("; ".join(violations))
     feasible, compact = effective_domain(constraints, theta)

@@ -7,9 +7,13 @@ time grid: per path one Poisson jump count, atom locations drawn in
 proportion to their rates, and one normal draw. Paths are drawn in
 fixed-size chunks into one buffer per estimate, each chunk from its own
 counter-based Philox stream keyed by (seed, chunk index), so an estimate
-depends only on the seed and the path count. The estimate then turns that
-buffer into utilities and reduces it to a mean and a standard error in place,
-so one estimate allocates the sample once.
+depends only on the seed and the path count. Atoms come from one uniform per
+jump mapped through the estimate's one CDF of the rates (inversion, as
+Generator.choice(p=...) draws them), at most _CHUNK jumps at a time, and an
+estimate expecting more than MAX_EXPECTED_JUMPS jumps is refused before
+anything is drawn. The estimate then turns the buffer into utilities and
+reduces it to a mean and a standard error in place, so one estimate allocates
+the sample once.
 """
 
 from __future__ import annotations
@@ -25,6 +29,9 @@ from .levy import LevyTriplet, UtilitySpec
 from .optimizer import problem_value
 
 _CHUNK = 25000
+# Largest expected jump count, lambda T times the path count, of one
+# estimate. Memory per chunk is bounded, but time grows with this number.
+MAX_EXPECTED_JUMPS = 1e8
 # Chunk i draws from the Philox key (seed, _CHUNK_STREAM + i). Every Monte
 # Carlo number depends on this offset; changing it changes every estimate.
 _CHUNK_STREAM = np.uint64(1) << np.uint64(62)
@@ -50,6 +57,44 @@ def _generator(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _jump_sums(rng: np.random.Generator, owner_index: np.ndarray, lam: float,
+               cdf: np.ndarray, jump_proj: np.ndarray) -> np.ndarray | float:
+    """Per path of one chunk, the sum of log(1 + pi.z) over its jumps, or 0.0
+    when the chunk draws none.
+
+    Draws one Poisson count of mean lam per path, then one uniform per jump,
+    mapped through cdf to an atom. Jumps are taken at most _CHUNK at a time
+    and added to their paths' sums in jump order, as np.bincount adds them.
+    """
+    count = len(owner_index)
+    counts = rng.poisson(lam, size=count)
+    drawn = int(counts.sum())
+    if not drawn:
+        return 0.0
+    sums = np.zeros(count)
+    ends = counts.cumsum() if drawn > _CHUNK else None
+    for first in range(0, drawn, _CHUNK):
+        last = min(first + _CHUNK, drawn)
+        projected = jump_proj[cdf.searchsorted(rng.random(last - first), side="right")]
+        if np.any(projected < -1.0):
+            raise NegativeWealthError(
+                "a jump drove wealth negative; the strategy leaves the "
+                "admissible region")
+        with np.errstate(divide="ignore"):
+            np.log1p(projected, out=projected)
+        if ends is None:
+            owners = np.repeat(owner_index, counts)
+        else:
+            # the paths whose jumps fall in [first, last), with those counts
+            lo, hi = ends.searchsorted([first, last - 1], side="right")
+            window = counts[lo:hi + 1].copy()
+            window[0] -= first - (ends[lo] - counts[lo])
+            window[-1] -= ends[hi] - last
+            owners = np.repeat(owner_index[lo:hi + 1], window)
+        np.add.at(sums, owners, projected)
+    return sums
+
+
 def _log_wealth(triplet: LevyTriplet, pi: np.ndarray, horizon: float,
                 n_paths: int, seed: int) -> np.ndarray:
     """log(W_T / x0) for n_paths paths; -inf entries mark zero wealth."""
@@ -60,7 +105,15 @@ def _log_wealth(triplet: LevyTriplet, pi: np.ndarray, horizon: float,
     base = float(pi @ drift) * horizon - 0.5 * float(pi @ triplet.c @ pi) * horizon
     scale = math.sqrt(max(float(pi @ triplet.c @ pi), 0.0) * horizon)
     jump_proj = jumps.locations @ pi if jumps.m else np.zeros(0)
-    probabilities = jumps.rates / total if total > 0.0 else None
+    if total > 0.0:
+        if not np.all(np.isfinite(jumps.rates)) or np.any(jumps.rates < 0.0):
+            raise ValueError("jump rates must be finite and nonnegative")
+        expected = total * horizon * n_paths
+        if expected > MAX_EXPECTED_JUMPS:
+            raise ModelError(f"{n_paths} paths expect {expected:.3e} jumps in all, above "
+                             f"the cap of {MAX_EXPECTED_JUMPS:.0e}")
+        cdf = (jumps.rates / total).cumsum()
+        cdf /= cdf[-1]
 
     try:
         out = np.empty(n_paths)
@@ -72,21 +125,9 @@ def _log_wealth(triplet: LevyTriplet, pi: np.ndarray, horizon: float,
         chunk = out[start:start + _CHUNK]
         count = len(chunk)
         rng = _generator(seed, int(_CHUNK_STREAM) + chunk_id)
-        jump_sum = 0.0
+        jump_sum = 0.0  # the previous chunk's sums go before this chunk's draws
         if total > 0.0:
-            counts = rng.poisson(total * horizon, size=count)
-            drawn = int(counts.sum())
-            if drawn:
-                projected = jump_proj[rng.choice(jumps.m, size=drawn, p=probabilities)]
-                if np.any(projected < -1.0):
-                    raise NegativeWealthError(
-                        "a jump drove wealth negative; the strategy leaves the "
-                        "admissible region")
-                # log(1 + pi.z) per jump, in place, summed per owning path
-                with np.errstate(divide="ignore"):
-                    np.log1p(projected, out=projected)
-                jump_sum = np.bincount(np.repeat(owner_index[:count], counts),
-                                       weights=projected, minlength=count)
+            jump_sum = _jump_sums(rng, owner_index[:count], total * horizon, cdf, jump_proj)
         # base + scale * gauss + jump_sum, in place and in that order
         rng.standard_normal(out=chunk)
         chunk *= scale
@@ -102,11 +143,12 @@ def _estimate(values: np.ndarray, n_paths: int, seed: int) -> McEstimate:
     mean, square, sum, divide by n - 1, so both numbers equal NumPy's bit for
     bit.
     """
-    if np.any(np.isneginf(values)):
-        return McEstimate(mean=-math.inf, stderr=math.inf, n_paths=n_paths,
-                          seed=seed, minus_inf=True)
     mean = float(np.mean(values))
     if not math.isfinite(mean):
+        # a -inf entry makes the mean -inf or NaN, so only then is it sought
+        if np.any(np.isneginf(values)):
+            return McEstimate(mean=-math.inf, stderr=math.inf, n_paths=n_paths,
+                              seed=seed, minus_inf=True)
         return McEstimate(mean=mean, stderr=math.inf, n_paths=n_paths, seed=seed)
     if n_paths == 1:
         return McEstimate(mean=mean, stderr=0.0, n_paths=n_paths, seed=seed)

@@ -45,6 +45,31 @@ def random_triplet(rng: np.random.Generator, d: int, n_atoms: int,
     return LevyTriplet(b, c, JumpMeasure.from_atoms(atoms, dimension=d))
 
 
+def pooled_vertices(rng: np.random.Generator, d: int, k: int) -> tuple[LevyTriplet, ...]:
+    """k triplets whose atoms come from one pool of one to three locations,
+    so vertices share atoms. A d >= 2 pool holds, with probability 1/2, a
+    location and its copy with -0.0 in place of 0.0. Each vertex lists one of
+    its atoms twice with probability 1/4, and has a singular diffusion
+    (rank d - 1) with probability 1/4."""
+    pool = [random_location(rng, d) for _ in range(int(rng.integers(1, 4)))]
+    if d >= 2 and rng.uniform() < 0.5:
+        pool[0][-1] = 0.0
+        pool.append(pool[0] * np.append(np.ones(d - 1), -1.0))
+    vertices = []
+    for _ in range(k):
+        t = random_triplet(rng, d, 0)
+        c = t.c
+        if rng.uniform() < 0.25:
+            a = rng.uniform(-0.3, 0.3, (d, d - 1))
+            c = a @ a.T
+        picks = list(rng.permutation(len(pool))[:int(rng.integers(0, len(pool) + 1))])
+        if picks and rng.uniform() < 0.25:
+            picks.append(picks[0])
+        atoms = [(float(rng.uniform(0.02, 0.3)), pool[j]) for j in picks]
+        vertices.append(LevyTriplet(t.b, c, JumpMeasure.from_atoms(atoms, dimension=d)))
+    return tuple(vertices)
+
+
 def random_instance(seed: int, utility: UtilitySpec | None = None,
                     max_vertices: int = 4):
     """One solvable instance: (theta, feasible polytope, utility).

@@ -7,11 +7,16 @@ best responses, so criterion 3 and the bound tests compare the library
 against a second computation; :func:`nearest_point` does the same for the
 library's least-distance projection, and :func:`martingale_check` for the
 `verify` report's martingale block, which the command line reads off its
-expected-utility estimate.
+expected-utility estimate. The last four rebuild what the library builds in
+one pass, the obvious way: a model's vertices one triplet at a time, their
+atom table by np.unique, its digest from NumPy scalars, and a Monte Carlo
+sample with every jump of a chunk drawn at once.
 """
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -19,16 +24,18 @@ from scipy.optimize import linprog, minimize
 
 from rlp import (
     GrowthModel,
+    JumpMeasure,
     LevyTriplet,
     McEstimate,
     Polyhedron,
     UncertaintySet,
     UtilitySpec,
+    canonical_json,
     growth_rate,
     natural_constraints,
 )
 from rlp.optimizer import SHRINK_LEVEL, FeasibleRegion, _slsqp_max, golden_max
-from rlp.simulator import _estimate, _log_wealth
+from rlp.simulator import _CHUNK, _CHUNK_STREAM, _estimate, _generator, _log_wealth
 
 # Kelley's cutting planes stop on this relative bracket width, or this many cuts.
 KELLEY_RTOL = 1e-7
@@ -136,3 +143,84 @@ def martingale_check(triplet: LevyTriplet, pi: np.ndarray, utility: UtilitySpec,
     estimate = _estimate(values, n_paths, seed)
     passed = bool(abs(estimate.mean - 1.0) <= 3.5 * estimate.stderr)
     return estimate, passed
+
+
+def unique_atom_table(vertices) -> tuple[np.ndarray, np.ndarray]:
+    """(locations, rates) of the vertices' atom table as np.unique(axis=0)
+    merges the listed atoms: distinct rows in order of first appearance, and
+    their rates summed per vertex in listing order."""
+    listed = np.concatenate([v.jumps.locations for v in vertices])
+    owner = np.repeat(np.arange(len(vertices)), [v.jumps.m for v in vertices])
+    _, first, atom = np.unique(listed, axis=0, return_index=True, return_inverse=True)
+    rates = np.zeros((len(first), len(vertices)))
+    np.add.at(rates, (np.argsort(np.argsort(first))[atom.ravel()], owner),
+              np.concatenate([v.jumps.rates for v in vertices]))
+    return listed[np.sort(first)], rates
+
+
+def triplets_of(model: dict) -> tuple[LevyTriplet, ...]:
+    """The vertices of a model file's Theta, built one LevyTriplet at a time:
+    a vertex list as listed, a box corner by corner."""
+    d = model["dimension"]
+    theta = model["Theta"]
+    if "vertices" in theta:
+        vertices = []
+        for vertex in theta["vertices"]:
+            c = np.array(vertex["c"], dtype=float).reshape(d, d)
+            atoms = [(atom["rate"], atom["location"])
+                     for atom in (vertex.get("jumps") or {}).get("atoms", [])]
+            vertices.append(LevyTriplet(np.array(vertex["b"], dtype=float), c,
+                                        JumpMeasure.from_atoms(atoms, dimension=d)))
+        return tuple(vertices)
+    box = theta["box"]
+    base = np.array(box.get("c_base", np.eye(d)), dtype=float)
+    atoms = box.get("atoms", [])
+    params = [(lo,) if lo == hi else (lo, hi)
+              for lo, hi in (*box["b"], box.get("c_scale", [1.0, 1.0]),
+                             *(atom["rate"] for atom in atoms))]
+    return tuple(
+        LevyTriplet(np.array(corner[:d], dtype=float), corner[d] * base,
+                    JumpMeasure.from_atoms([(rate, atom["location"]) for rate, atom
+                                            in zip(corner[d + 1:], atoms) if rate > 0.0],
+                                           dimension=d))
+        for corner in itertools.product(*params))
+
+
+def resolved_digest(spec, vertices) -> str:
+    """The digest of spec with its constraints and the given vertices
+    serialized one NumPy scalar at a time."""
+    resolved = dict(spec.resolved)
+    resolved["C"] = {"halfspaces": [{"normal": list(n), "offset": float(o)} for n, o
+                                    in zip(spec.constraints.normals, spec.constraints.offsets)]}
+    resolved["Theta"] = {"vertices": [
+        {"b": list(v.b), "c": [list(row) for row in v.c],
+         "jumps": {"atoms": [{"rate": float(r), "location": list(z)}
+                             for r, z in zip(v.jumps.rates, v.jumps.locations)]}}
+        for v in vertices]}
+    return hashlib.sha256(canonical_json(resolved).encode("utf-8")).hexdigest()
+
+
+def one_shot_log_wealth(triplet: LevyTriplet, pi: np.ndarray, horizon: float,
+                        n_paths: int, seed: int) -> np.ndarray:
+    """log(W_T / x0) drawn as the sampler first drew it: per chunk, every jump
+    at once through Generator.choice, summed per path by np.bincount."""
+    jumps = triplet.jumps
+    total = jumps.total_rate
+    drift = triplet.b - jumps.truncated_mean()
+    base = float(pi @ drift) * horizon - 0.5 * float(pi @ triplet.c @ pi) * horizon
+    scale = math.sqrt(max(float(pi @ triplet.c @ pi), 0.0) * horizon)
+    jump_proj = jumps.locations @ pi
+    out = np.empty(n_paths)
+    for chunk_id, start in enumerate(range(0, n_paths, _CHUNK)):
+        chunk = out[start:start + _CHUNK]
+        rng = _generator(seed, int(_CHUNK_STREAM) + chunk_id)
+        counts = rng.poisson(total * horizon, size=len(chunk))
+        projected = jump_proj[rng.choice(jumps.m, size=int(counts.sum()),
+                                         p=jumps.rates / total)]
+        jump_sum = np.bincount(np.repeat(np.arange(len(chunk)), counts),
+                               weights=np.log1p(projected), minlength=len(chunk))
+        rng.standard_normal(out=chunk)
+        chunk *= scale
+        chunk += base
+        chunk += jump_sum
+    return out

@@ -136,6 +136,33 @@ def test_an_undefined_martingale_quotient_fails_without_nan(capsys, tmp_path, pa
     assert results["passed"] is False
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_an_underflowed_closed_form_is_not_agreement(capsys, tmp_path, command):
+    # without jumps and over T = 1e5 every path's utility and the closed form
+    # x0^p e^{pTg}/p underflow to zero, which that formula never is: nothing
+    # is compared, so nothing agrees
+    model = long_horizon(tmp_path, NEGATIVE_POWER, 1e5, drop_jumps=True)
+    status, report = run_json(capsys, [command, "--model", model, "--paths", "20000"])
+    results = report["results"]
+    check = results if command == "simulate" else results["mc_vs_closed_form"]
+    assert check["mc"]["mean"] == check["closed_form"] == 0.0
+    assert check["abs_error"] == "inf"
+    assert check["within_3p5_sigma" if command == "simulate" else "passed"] is False
+
+
+def test_an_expected_jump_total_over_the_cap_exits_1(capsys, tmp_path):
+    # over T = 1e6, 20 000 paths expect billions of jumps: refused with a
+    # report before any is drawn
+    model = long_horizon(tmp_path, NEGATIVE_POWER, 1e6)
+    status = main(["verify", "--model", model, "--paths", "20000"])
+    captured = capsys.readouterr()
+    assert status == 1 and captured.err == ""
+    error = json.loads(captured.out)["results"]["error"]
+    assert error["code"] == "ModelError"
+    assert error["message"].startswith("20000 paths expect ")
+    assert "jumps in all, above the cap of 1e+08" in error["message"]
+
+
 def test_a_path_count_too_large_to_allocate_exits_1(capsys):
     # 10**15 paths need 8e15 bytes: the allocation fails at once, touching
     # no memory

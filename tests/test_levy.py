@@ -28,6 +28,9 @@ from rlp import (
     validate_triplet,
 )
 
+from helpers_instances import pooled_vertices
+from helpers_oracle import unique_atom_table
+
 
 def make_triplet(b=0.1, c=0.04, atoms=((0.05, (1.0,)),)):
     return LevyTriplet(np.atleast_1d(b), np.atleast_2d(c),
@@ -491,3 +494,19 @@ def test_discretize_density_drops_zero_cells():
 def test_discretize_density_rejects_support_with_origin():
     with pytest.raises(SupportContainsZeroError):
         discretize_density(lambda z: 1.0, (-0.5, 0.5), 4)
+
+
+def test_the_atom_table_merges_atoms_as_np_unique_does():
+    merged = negative_zero = 0
+    for draw in range(300):
+        rng = np.random.default_rng(draw)
+        vertices = pooled_vertices(rng, int(rng.integers(1, 5)), int(rng.integers(1, 5)))
+        theta = UncertaintySet(vertices)
+        locations, rates = unique_atom_table(vertices)
+        assert theta.locations.shape == locations.shape
+        assert theta.locations.tobytes() == locations.tobytes()
+        assert theta.rates.shape == rates.shape and theta.rates.tobytes() == rates.tobytes()
+        listed = np.concatenate([v.jumps.locations for v in vertices])
+        merged += len(listed) > len(locations)
+        negative_zero += bool(np.any((listed == 0.0) & np.signbit(listed)))
+    assert merged and negative_zero

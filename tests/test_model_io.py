@@ -23,10 +23,15 @@ from rlp import (
     canonical_json,
     emit_report,
     load_model,
+    validate_triplet,
 )
+
+from helpers_instances import pooled_vertices
+from helpers_oracle import resolved_digest, triplets_of, unique_atom_table
 
 ROOT = Path(__file__).resolve().parent.parent
 MODELS = ROOT / "models"
+SADDLE_INPUTS = ROOT / "bench" / "inputs" / "saddle-nd"
 
 
 def write_model(tmp_path, obj):
@@ -354,3 +359,96 @@ def test_canonical_json_ignores_key_order():
     b = canonical_json({"a": [1.5, 2.0], "b": 1})
     assert a == b
     assert a == '{"a":[1.5,2.0],"b":1}'
+
+
+def assert_loaded_as_listed(spec, model):
+    """The stacked load equals the model's triplets built one at a time, bit
+    for bit: each vertex, the atom table and the digest."""
+    reference = triplets_of(model)
+    assert len(spec.theta.vertices) == len(reference)
+
+    def same(a, b):
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    for got, want in zip(spec.theta.vertices, reference):
+        assert same(got.b, want.b) and same(got.c, want.c)
+        assert same(got.jumps.rates, want.jumps.rates)
+        assert same(got.jumps.locations, want.jumps.locations)
+    assert same(spec.theta.drifts, np.array([v.b for v in reference]))
+    assert same(spec.theta.diffusions, np.array([v.c for v in reference]))
+    locations, rates = unique_atom_table(reference)
+    assert same(spec.theta.locations, locations) and same(spec.theta.rates, rates)
+    assert spec.digest == resolved_digest(spec, reference)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(MODELS.glob("*.json")) + sorted(SADDLE_INPUTS.glob("saddle_*.json")),
+    ids=lambda path: path.stem)
+def test_models_load_as_one_triplet_at_a_time(path):
+    assert_loaded_as_listed(load_model(str(path)), json.loads(path.read_text()))
+
+
+def pooled_model(rng: np.random.Generator) -> dict:
+    """A vertex-list model of pooled draws: shared and repeated atoms, (z, -0.0)
+    beside (z, 0.0), and half the d >= 2 diffusions written as a rank d - 1
+    product a a^T, whose rounding the loader clamps."""
+    d = int(rng.integers(1, 5))
+    vertices = []
+    for vertex in pooled_vertices(rng, d, int(rng.integers(1, 5))):
+        c = vertex.c
+        if d >= 2 and rng.uniform() < 0.5:
+            a = rng.uniform(-0.3, 0.3, (d, d - 1))
+            c = a @ a.T
+        vertices.append({"b": vertex.b.tolist(), "c": c.tolist(), "jumps": {"atoms": [
+            {"rate": rate, "location": z} for rate, z
+            in zip(vertex.jumps.rates.tolist(), vertex.jumps.locations.tolist())]}})
+    return {"dimension": d, "utility": {"kind": "log"}, "T": 1.0, "x0": 1.0,
+            "C": {"box": [[-0.5, 0.5]] * d}, "Theta": {"vertices": vertices}}
+
+
+def test_pooled_models_load_as_one_triplet_at_a_time(tmp_path):
+    clamped = merged = negative_zero = 0
+    for draw in range(60):
+        model = pooled_model(np.random.default_rng(draw))
+        spec = load_model(write_model(tmp_path, model))
+        assert_loaded_as_listed(spec, model)
+        raw = [np.array(vertex["c"]) for vertex in model["Theta"]["vertices"]]
+        clamped += sum(not np.array_equal(c, v.c) for c, v in zip(raw, spec.theta.vertices))
+        listed = [z for vertex in model["Theta"]["vertices"]
+                  for z in (atom["location"] for atom in vertex["jumps"]["atoms"])]
+        merged += len(listed) > len(spec.theta.locations)
+        negative_zero += any(math.copysign(1.0, x) < 0.0 for z in listed for x in z if x == 0.0)
+    assert clamped and merged and negative_zero
+
+
+def test_bad_vertices_are_reported_as_one_at_a_time(tmp_path):
+    model = minimal_model(Theta={"vertices": [
+        {"b": [0.1], "c": [[-1.0]]},
+        {"b": [0.1], "c": [[0.04]]},
+        {"b": [0.1], "c": [[0.04]], "jumps": {"atoms": [
+            {"rate": -0.2, "location": [0.5]}, {"rate": 0.1, "location": [0.0]}]}},
+    ]})
+    with pytest.raises(ModelError) as info:
+        load_model(write_model(tmp_path, model))
+    assert str(info.value) == "; ".join(
+        f"vertex {i}: {message}" for i, vertex in enumerate(triplets_of(model))
+        for message in validate_triplet(vertex))
+    assert str(info.value) == (
+        "vertex 0: diffusion matrix is not PSD (min eigenvalue -1.000e+00); "
+        "vertex 2: every jump rate must be strictly positive; "
+        "vertex 2: jump atom at the origin is not allowed")
+
+
+def test_loading_decomposes_the_diffusions_in_batches(monkeypatch):
+    # one batched eigh clamps all 16 diffusions and one batched eigvalsh
+    # checks them; one call per matrix would make 32
+    shapes = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(a, *args, _decompose=getattr(np.linalg, name), **kwargs):
+            shapes.append(np.shape(a))
+            return _decompose(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    spec = load_model(str(SADDLE_INPUTS / "saddle_2_03.json"))
+    assert len(spec.theta) == 16
+    assert shapes and len(shapes) <= 2
+    assert all(shape == (16, 4, 4) for shape in shapes)

@@ -37,8 +37,8 @@ from rlp.optimizer import SHRINK_LEVEL, FeasibleRegion, _stationarity_weights, g
 
 from helpers_instances import (
     BOX_RADIUS,
+    pooled_vertices,
     random_instance,
-    random_location,
     random_triplet,
     random_utility,
 )
@@ -499,31 +499,6 @@ def test_certificate_at_is_infinite_past_the_bankruptcy_boundary():
     ok, details = verify_saddle(spec.theta, spec.feasible, spec.utility, cert)
     assert not ok
     assert details["residuals"] == {"max_y": math.inf, "min_theta": math.inf, "gap": math.inf}
-
-
-def pooled_vertices(rng: np.random.Generator, d: int, k: int) -> tuple[LevyTriplet, ...]:
-    """k triplets whose atoms come from one pool of one to three locations,
-    so vertices share atoms. A d >= 2 pool holds, with probability 1/2, a
-    location and its copy with -0.0 in place of 0.0. Each vertex lists one of
-    its atoms twice with probability 1/4, and has a singular diffusion
-    (rank d - 1) with probability 1/4."""
-    pool = [random_location(rng, d) for _ in range(int(rng.integers(1, 4)))]
-    if d >= 2 and rng.uniform() < 0.5:
-        pool[0][-1] = 0.0
-        pool.append(pool[0] * np.append(np.ones(d - 1), -1.0))
-    vertices = []
-    for _ in range(k):
-        t = random_triplet(rng, d, 0)
-        c = t.c
-        if rng.uniform() < 0.25:
-            a = rng.uniform(-0.3, 0.3, (d, d - 1))
-            c = a @ a.T
-        picks = list(rng.permutation(len(pool))[:int(rng.integers(0, len(pool) + 1))])
-        if picks and rng.uniform() < 0.25:
-            picks.append(picks[0])
-        atoms = [(float(rng.uniform(0.02, 0.3)), pool[j]) for j in picks]
-        vertices.append(LevyTriplet(t.b, c, JumpMeasure.from_atoms(atoms, dimension=d)))
-    return tuple(vertices)
 
 
 def random_polytope_game(rng: np.random.Generator, pooled: bool = False):

@@ -11,16 +11,17 @@ import pytest
 from rlp import (
     JumpMeasure,
     LevyTriplet,
+    ModelError,
     NegativeWealthError,
     UtilitySpec,
     closed_form_expected_utility,
     load_model,
     mc_expected_utility,
 )
-from rlp.simulator import _estimate, _log_wealth
+from rlp.simulator import _CHUNK, _estimate, _log_wealth
 
 from helpers_instances import random_sim_instance
-from helpers_oracle import martingale_check
+from helpers_oracle import martingale_check, one_shot_log_wealth
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -178,3 +179,61 @@ def test_an_estimate_allocates_its_sample_once(name):
     finally:
         tracemalloc.stop()
     assert peak < 2.0 * 8 * n_paths
+
+
+def test_inverse_cdf_draws_the_atoms_generator_choice_draws():
+    # the sampler maps its uniforms through one CDF per estimate; that is
+    # what Generator.choice(p=...) does, bit for bit, with zero rates too
+    rng = np.random.default_rng(0)
+    for trial in range(200):
+        m = int(rng.integers(1, 7))
+        p = rng.uniform(0.0, 1.0, m) * (rng.uniform(size=m) < 0.8)
+        p[rng.integers(m)] += 0.1
+        p = p / p.sum()
+        key = np.array([trial, 5], dtype=np.uint64)
+        want = np.random.Generator(np.random.Philox(key=key)).choice(m, size=500, p=p)
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        uniforms = np.random.Generator(np.random.Philox(key=key)).random(500)
+        assert np.array_equal(cdf.searchsorted(uniforms, side="right"), want)
+
+
+@pytest.mark.parametrize("n_paths", [25000, 30001])
+def test_jumps_drawn_in_batches_keep_every_bit(n_paths):
+    # lambda T = 6: about 150 000 jumps per chunk, so six batches of at most
+    # one chunk's length each, paths straddling the batch boundaries
+    triplet = jump_diffusion(atoms=((1.0, (-0.3,)), (0.5, (0.2,)), (1.5, (0.1,))))
+    pi = np.array([0.8])
+    log_w = _log_wealth(triplet, pi, 2.0, n_paths, 3)
+    assert log_w.tobytes() == one_shot_log_wealth(triplet, pi, 2.0, n_paths, 3).tobytes()
+
+
+def test_jump_draws_stay_chunk_sized():
+    # lambda T = 20: about 500 000 jumps per chunk, 4 MB for each array of
+    # them drawn at once; in batches the peak stays about ten chunk-sized
+    # arrays above the sample
+    triplet = jump_diffusion(atoms=((20.0, (0.1,)),))
+    n_paths = 2 * _CHUNK
+    _log_wealth(triplet, np.array([0.5]), 1.0, 100, 1)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        _log_wealth(triplet, np.array([0.5]), 1.0, n_paths, 1)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n_paths + 12 * 8 * _CHUNK
+
+
+def test_an_expected_jump_total_over_the_cap_is_refused_first():
+    # 10**15 paths expect 5e14 jumps; refused before the 8e15-byte sample is
+    # asked for
+    with pytest.raises(ModelError, match=r"^1000000000000000 paths expect 5\.000e\+14 jumps"):
+        mc_expected_utility(jump_diffusion(), np.array([0.5]), LOG, 1.0, 1.0, 10 ** 15, 1)
+
+
+def test_a_negative_rate_is_refused():
+    triplet = jump_diffusion(atoms=((0.3, (0.1,)), (-0.1, (-0.2,))))
+    with pytest.raises(ValueError):
+        mc_expected_utility(triplet, np.array([0.5]), LOG, 1.0, 1.0, 1000, 1)
