@@ -247,7 +247,7 @@ def validate_triplet(triplet: LevyTriplet) -> list[str]:
                                           [jm.m])]
     msgs = [m for _, m in _violations(triplet.b[None], c[None], np.zeros(0), np.zeros((0, d)),
                                       [0])]
-    if "diffusion matrix has non-finite entries" in msgs:
+    if not np.all(np.isfinite(c)):
         return msgs
     return msgs + ["jump locations do not match the drift dimension"]
 

@@ -57,21 +57,22 @@ def _generator(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _jump_sums(rng: np.random.Generator, owner_index: np.ndarray, lam: float,
+def _jump_sums(rng: np.random.Generator, count: int, lam: float,
                cdf: np.ndarray, jump_proj: np.ndarray) -> np.ndarray | float:
-    """Per path of one chunk, the sum of log(1 + pi.z) over its jumps, or 0.0
-    when the chunk draws none.
+    """Per path of one chunk of count paths, the sum of log(1 + pi.z) over its
+    jumps, or 0.0 when the chunk draws none.
 
     Draws one Poisson count of mean lam per path, then one uniform per jump,
     mapped through cdf to an atom. Jumps are taken at most _CHUNK at a time
     and added to their paths' sums in jump order, as np.bincount adds them.
     """
-    count = len(owner_index)
     counts = rng.poisson(lam, size=count)
     drawn = int(counts.sum())
     if not drawn:
         return 0.0
     sums = np.zeros(count)
+    # one batch repeats every path by its count; more batches need the
+    # running counts, which cost a pass that one batch does without
     ends = counts.cumsum() if drawn > _CHUNK else None
     for first in range(0, drawn, _CHUNK):
         last = min(first + _CHUNK, drawn)
@@ -83,14 +84,12 @@ def _jump_sums(rng: np.random.Generator, owner_index: np.ndarray, lam: float,
         with np.errstate(divide="ignore"):
             np.log1p(projected, out=projected)
         if ends is None:
-            owners = np.repeat(owner_index, counts)
+            owners = np.repeat(np.arange(count), counts)
         else:
-            # the paths whose jumps fall in [first, last), with those counts
+            # paths lo..hi hold the jumps [first, last), each its share of them
             lo, hi = ends.searchsorted([first, last - 1], side="right")
-            window = counts[lo:hi + 1].copy()
-            window[0] -= first - (ends[lo] - counts[lo])
-            window[-1] -= ends[hi] - last
-            owners = np.repeat(owner_index[lo:hi + 1], window)
+            owners = np.repeat(np.arange(lo, hi + 1),
+                               np.diff(np.minimum(ends[lo:hi + 1], last), prepend=first))
         np.add.at(sums, owners, projected)
     return sums
 
@@ -120,14 +119,14 @@ def _log_wealth(triplet: LevyTriplet, pi: np.ndarray, horizon: float,
     except MemoryError as exc:
         raise ModelError(f"{n_paths} paths need a {8 * n_paths}-byte sample, "
                          "more memory than can be allocated") from exc
-    owner_index = np.arange(min(n_paths, _CHUNK))
     for chunk_id, start in enumerate(range(0, n_paths, _CHUNK)):
         chunk = out[start:start + _CHUNK]
         count = len(chunk)
         rng = _generator(seed, int(_CHUNK_STREAM) + chunk_id)
-        jump_sum = 0.0  # the previous chunk's sums go before this chunk's draws
+        jump_sum = 0.0
         if total > 0.0:
-            jump_sum = _jump_sums(rng, owner_index[:count], total * horizon, cdf, jump_proj)
+            # a chunk's jumps are drawn from its stream before its normals
+            jump_sum = _jump_sums(rng, count, total * horizon, cdf, jump_proj)
         # base + scale * gauss + jump_sum, in place and in that order
         rng.standard_normal(out=chunk)
         chunk *= scale

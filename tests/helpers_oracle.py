@@ -8,7 +8,8 @@ against a second computation; :func:`nearest_point` does the same for the
 library's least-distance projection, and :func:`martingale_check` for the
 `verify` report's martingale block, which the command line reads off its
 expected-utility estimate. The last four rebuild what the library builds in
-one pass, the obvious way: a model's vertices one triplet at a time, their
+one pass, the obvious way: a model's vertices one triplet and one clamped
+diffusion matrix at a time, their
 atom table by np.unique, its digest from NumPy scalars, and a Monte Carlo
 sample with every jump of a chunk drawn at once.
 """
@@ -34,6 +35,7 @@ from rlp import (
     growth_rate,
     natural_constraints,
 )
+from rlp.levy import PSD_TOL, SYMMETRY_TOL
 from rlp.optimizer import SHRINK_LEVEL, FeasibleRegion, _slsqp_max, golden_max
 from rlp.simulator import _CHUNK, _CHUNK_STREAM, _estimate, _generator, _log_wealth
 
@@ -158,9 +160,31 @@ def unique_atom_table(vertices) -> tuple[np.ndarray, np.ndarray]:
     return listed[np.sort(first)], rates
 
 
+def clamped_matrix(c: np.ndarray) -> np.ndarray:
+    """A (d, d) diffusion matrix clamped one matrix at a time: if c is
+    symmetric and the smallest eigenvalue of (c + c^T) / 2 lies in
+    [-PSD_TOL, 0), c is rebuilt from those eigenpairs with the eigenvalues
+    clipped to 0; otherwise c is returned as given."""
+    with np.errstate(invalid="ignore"):
+        symmetric = np.abs(c - c.T).max() <= SYMMETRY_TOL
+    if symmetric:
+        w, v = np.linalg.eigh((c + c.T) / 2.0)
+        if -PSD_TOL <= w.min() < 0.0:
+            return (v * np.clip(w, 0.0, None)) @ v.T
+    return c
+
+
+def one_triplet(b: np.ndarray, c: np.ndarray, jumps: JumpMeasure) -> LevyTriplet:
+    """LevyTriplet(b, c, jumps) holding clamped_matrix(c), so the library's
+    batched clamp is compared with the per-matrix one, not with itself."""
+    triplet = LevyTriplet(b, c, jumps)
+    object.__setattr__(triplet, "c", clamped_matrix(c))
+    return triplet
+
+
 def triplets_of(model: dict) -> tuple[LevyTriplet, ...]:
-    """The vertices of a model file's Theta, built one LevyTriplet at a time:
-    a vertex list as listed, a box corner by corner."""
+    """The vertices of a model file's Theta, built one triplet at a time by
+    :func:`one_triplet`: a vertex list as listed, a box corner by corner."""
     d = model["dimension"]
     theta = model["Theta"]
     if "vertices" in theta:
@@ -169,7 +193,7 @@ def triplets_of(model: dict) -> tuple[LevyTriplet, ...]:
             c = np.array(vertex["c"], dtype=float).reshape(d, d)
             atoms = [(atom["rate"], atom["location"])
                      for atom in (vertex.get("jumps") or {}).get("atoms", [])]
-            vertices.append(LevyTriplet(np.array(vertex["b"], dtype=float), c,
+            vertices.append(one_triplet(np.array(vertex["b"], dtype=float), c,
                                         JumpMeasure.from_atoms(atoms, dimension=d)))
         return tuple(vertices)
     box = theta["box"]
@@ -179,7 +203,7 @@ def triplets_of(model: dict) -> tuple[LevyTriplet, ...]:
               for lo, hi in (*box["b"], box.get("c_scale", [1.0, 1.0]),
                              *(atom["rate"] for atom in atoms))]
     return tuple(
-        LevyTriplet(np.array(corner[:d], dtype=float), corner[d] * base,
+        one_triplet(np.array(corner[:d], dtype=float), corner[d] * base,
                     JumpMeasure.from_atoms([(rate, atom["location"]) for rate, atom
                                             in zip(corner[d + 1:], atoms) if rate > 0.0],
                                            dimension=d))

@@ -29,7 +29,7 @@ from rlp import (
 )
 
 from helpers_instances import pooled_vertices
-from helpers_oracle import unique_atom_table
+from helpers_oracle import clamped_matrix, unique_atom_table
 
 
 def make_triplet(b=0.1, c=0.04, atoms=((0.05, (1.0,)),)):
@@ -74,6 +74,19 @@ def test_triplet_clamps_tiny_negative_eigenvalues():
     # reconstruction leaves at most machine-epsilon negativity
     assert np.linalg.eigvalsh(t.c).min() >= -1e-15
     assert validate_triplet(t) == []
+
+
+def test_triplet_clamps_as_one_matrix_at_a_time():
+    clamped = 0
+    for draw in range(100):
+        rng = np.random.default_rng(draw)
+        d = int(rng.integers(2, 5))
+        a = rng.uniform(-0.3, 0.3, (d, d - 1))
+        c = a @ a.T
+        t = LevyTriplet(np.zeros(d), c, JumpMeasure.empty(d))
+        assert t.c.tobytes() == clamped_matrix(c).tobytes()
+        clamped += not np.array_equal(t.c, c)
+    assert clamped
 
 
 def test_triplet_arrays_are_readonly():

@@ -208,6 +208,15 @@ def test_jumps_drawn_in_batches_keep_every_bit(n_paths):
     assert log_w.tobytes() == one_shot_log_wealth(triplet, pi, 2.0, n_paths, 3).tobytes()
 
 
+def test_a_path_whose_jumps_span_batches_keeps_every_bit():
+    # lambda T = 60 000 over three paths: each path's jumps run over two or
+    # three batches
+    triplet = jump_diffusion(atoms=((30000.0, (-1e-4,)), (30000.0, (1.2e-4,))))
+    pi = np.array([0.7])
+    log_w = _log_wealth(triplet, pi, 1.0, 3, 3)
+    assert log_w.tobytes() == one_shot_log_wealth(triplet, pi, 1.0, 3, 3).tobytes()
+
+
 def test_jump_draws_stay_chunk_sized():
     # lambda T = 20: about 500 000 jumps per chunk, 4 MB for each array of
     # them drawn at once; in batches the peak stays about ten chunk-sized
