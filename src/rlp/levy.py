@@ -16,6 +16,7 @@ from scipy.optimize import linprog
 
 from .errors import (
     InfeasibleError,
+    ModelError,
     OriginExcludedError,
     SupportContainsZeroError,
     TooManyVerticesError,
@@ -50,54 +51,37 @@ def _built(cls, **fields):
     return obj
 
 
-def _symmetric(c: np.ndarray) -> np.ndarray:
-    """Per matrix of the (k, d, d) stack c, entrywise |c - c^T| <= SYMMETRY_TOL.
-    A non-finite entry makes it False, where np.allclose would call equal
-    infinities close."""
-    with np.errstate(invalid="ignore"):
-        return np.abs(c - c.transpose(0, 2, 1)).max(axis=(1, 2)) <= SYMMETRY_TOL
-
-
-def _halves(c: np.ndarray) -> np.ndarray:
-    """(c + c^T) / 2 for each matrix of the stack."""
-    return (c + c.transpose(0, 2, 1)) / 2.0
-
-
-def _clamped(c: np.ndarray) -> np.ndarray:
-    """The (k, d, d) stack c with each symmetric matrix whose smallest
-    eigenvalue lies in [-PSD_TOL, 0) rebuilt from the eigenpairs of its
-    symmetric part with those eigenvalues clipped to 0; one batched eigh."""
-    sym = np.flatnonzero(_symmetric(c))
-    if not len(sym):
-        return c
-    w, v = np.linalg.eigh(_halves(c[sym]))
-    low = w.min(axis=1)
-    clip = (low >= -PSD_TOL) & (low < 0.0)
-    if not clip.any():
-        return c
-    c = c.copy()
-    w, v = np.clip(w[clip], 0.0, None), v[clip]
-    c[sym[clip]] = (v * w[:, None, :]) @ v.transpose(0, 2, 1)
-    return c
-
-
-def _violations(drifts: np.ndarray, diffusions: np.ndarray, rates: np.ndarray,
-                locations: np.ndarray, counts: Sequence[int]) -> list[tuple[int, str]]:
-    """(vertex, message) for every rule a vertex breaks, in vertex order.
+def _vertex_rules(drifts: np.ndarray, diffusions: np.ndarray, rates: np.ndarray,
+                  locations: np.ndarray, counts: Sequence[int]
+                  ) -> tuple[np.ndarray, list[tuple[int, str]]]:
+    """The diffusions with the PSD clamp applied, and (vertex, message) for
+    every rule a vertex breaks, in vertex order.
 
     The vertices are stacked: drifts (k, d), diffusions (k, d, d), and the
     listed jump atoms, rates (n,) and locations (n, d), of which vertex i owns
-    the next counts[i]. A vertex with a non-finite diffusion matrix gets no
-    further checks. The PSD test runs one batched eigvalsh over the finite
-    symmetric matrices.
+    the next counts[i]. A diffusion matrix must be symmetric, |c - c^T| <=
+    SYMMETRY_TOL entrywise (a non-finite entry fails, where np.allclose would
+    call equal infinities close). One batched eigh of (c + c^T) / 2 over the
+    symmetric matrices decides the rest: a smallest eigenvalue in
+    [-PSD_TOL, 0) is clipped to 0 with the others and the matrix rebuilt from
+    the eigenpairs, one below -PSD_TOL is reported. The input is not written
+    to. A vertex with a non-finite diffusion matrix gets no further checks.
     """
     k = len(drifts)
     bad_b = ~np.isfinite(drifts).all(axis=1)
     bad_c = ~np.isfinite(diffusions).all(axis=(1, 2))
-    sym = _symmetric(diffusions)
+    with np.errstate(invalid="ignore"):
+        sym = np.abs(diffusions - diffusions.transpose(0, 2, 1)).max(axis=(1, 2)) <= SYMMETRY_TOL
     low = np.zeros(k)
     if sym.any():
-        low[sym] = np.linalg.eigvalsh(_halves(diffusions[sym])).min(axis=1)
+        c = diffusions[sym]
+        w, v = np.linalg.eigh((c + c.transpose(0, 2, 1)) / 2.0)
+        low[sym] = w.min(axis=1)
+        clip = (low[sym] >= -PSD_TOL) & (low[sym] < 0.0)
+        if clip.any():
+            diffusions = diffusions.copy()
+            w, v = np.clip(w[clip], 0.0, None), v[clip]
+            diffusions[np.flatnonzero(sym)[clip]] = (v * w[:, None, :]) @ v.transpose(0, 2, 1)
     owner = np.repeat(np.arange(k), counts)
     bad_atom = np.zeros((3, k), dtype=bool)
     for row, broken in enumerate((
@@ -120,7 +104,7 @@ def _violations(drifts: np.ndarray, diffusions: np.ndarray, rates: np.ndarray,
         found.extend((i, message) for message, bad in zip(
             ("jump measure has non-finite entries", "every jump rate must be strictly positive",
              "jump atom at the origin is not allowed"), bad_atom[:, i]) if bad)
-    return [(int(i), message) for i, message in found]
+    return diffusions, [(int(i), message) for i, message in found]
 
 
 def truncation(z: np.ndarray) -> np.ndarray:
@@ -199,11 +183,12 @@ class JumpMeasure:
 class LevyTriplet:
     """Model characteristics (b, c, F): drift, diffusion matrix, jump measure.
 
-    The diffusion matrix must be symmetric positive semidefinite; eigenvalues
-    down to -1e-12 are tolerated and clamped to zero at construction: the
-    matrix is rebuilt from the eigenpairs of its symmetric part with those
-    eigenvalues clipped, by the batched rule :meth:`UncertaintySet.stacked`
-    applies to a whole vertex stack.
+    The diffusion matrix must be d x d and the jump locations, unless there
+    are none, d-dimensional; otherwise ValueError is raised. The matrix should
+    be symmetric positive semidefinite (:func:`validate_triplet` reports
+    where it is not); eigenvalues down to -1e-12 are tolerated and clamped to
+    zero at construction, by the rule :meth:`UncertaintySet.stacked` applies
+    to a whole vertex stack.
     """
 
     b: np.ndarray
@@ -216,11 +201,14 @@ class LevyTriplet:
         c = np.asarray(self.c, dtype=float)
         if c.ndim == 0:
             c = c.reshape(1, 1)
-        if c.shape == (d, d):
-            c = _clamped(c[None])[0]
+        if c.shape != (d, d):
+            raise ValueError(f"diffusion matrix has shape {c.shape}, expected {(d, d)}")
         jumps = self.jumps
-        if jumps.m == 0 and jumps.dimension != d:
+        if jumps.dimension != d:
+            if jumps.m:
+                raise ValueError("jump locations do not match the drift dimension")
             jumps = JumpMeasure.empty(d)
+        c = _vertex_rules(b[None], c[None], jumps.rates, jumps.locations, [jumps.m])[0][0]
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", _readonly(c))
         object.__setattr__(self, "jumps", jumps)
@@ -231,49 +219,11 @@ class LevyTriplet:
 
 
 def validate_triplet(triplet: LevyTriplet) -> list[str]:
-    """Check one triplet and return a list of violation messages (empty if valid).
-
-    Once the shapes fit, these are the rules :func:`_violations` applies to a
-    whole vertex stack, here for one vertex.
-    """
-    d = triplet.dimension
-    c = triplet.c
-    if c.shape != (d, d):
-        msgs = [] if np.all(np.isfinite(triplet.b)) else ["drift vector has non-finite entries"]
-        return msgs + [f"diffusion matrix has shape {c.shape}, expected {(d, d)}"]
-    jm = triplet.jumps
-    if jm.locations.shape[1] == d:
-        return [m for _, m in _violations(triplet.b[None], c[None], jm.rates, jm.locations,
-                                          [jm.m])]
-    msgs = [m for _, m in _violations(triplet.b[None], c[None], np.zeros(0), np.zeros((0, d)),
-                                      [0])]
-    if not np.all(np.isfinite(c)):
-        return msgs
-    return msgs + ["jump locations do not match the drift dimension"]
-
-
-def _atom_table(rates: np.ndarray, locations: np.ndarray,
-                counts: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct locations (m, d) of the listed atoms, rates (n,) and
-    locations (n, d) of which vertex i owns the next counts[i], and their
-    rates (m, k). Equal rows are one atom, (z, -0.0) and (z, 0.0) included,
-    numbered by first appearance; repeated listings add up in listing order.
-    """
-    atoms: dict[tuple, int] = {}
-    atom = [atoms.setdefault(row, len(atoms)) for row in map(tuple, locations.tolist())]
-    table = np.zeros((len(atoms), len(counts)))
-    np.add.at(table, (np.array(atom, dtype=np.intp), np.repeat(np.arange(len(counts)), counts)),
-              rates)
-    return _readonly(np.reshape(list(atoms), (-1, locations.shape[1]))), _readonly(table)
-
-
-def validate_vertices(theta: "UncertaintySet") -> list[str]:
-    """:func:`validate_triplet`'s messages for every vertex of the set at
-    once, each as "vertex i: message"."""
-    jumps = [v.jumps for v in theta.vertices]
-    return [f"vertex {i}: {message}" for i, message in _violations(
-        theta.drifts, theta.diffusions, np.concatenate([j.rates for j in jumps]),
-        np.concatenate([j.locations for j in jumps]), [j.m for j in jumps])]
+    """Check one triplet and return a list of violation messages (empty if
+    valid): the rules of :func:`_vertex_rules` for a stack of one vertex."""
+    jumps = triplet.jumps
+    return [message for _, message in _vertex_rules(
+        triplet.b[None], triplet.c[None], jumps.rates, jumps.locations, [jumps.m])[1]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,8 +234,9 @@ class UncertaintySet:
     the distinct jump ``locations`` (m, d) in order of first appearance,
     merged by value so that (z, -0.0) and (z, 0.0) are one atom, and
     ``rates`` (m, k), summed over repeated listings in listing order and zero
-    where a vertex lacks an atom. :meth:`stacked` builds a set straight from
-    such arrays.
+    where a vertex lacks an atom. The vertices are not checked again: each
+    was clamped when it was built. :meth:`stacked` builds a set straight
+    from stacked arrays.
     """
 
     vertices: tuple[LevyTriplet, ...]
@@ -295,17 +246,20 @@ class UncertaintySet:
         if not vertices:
             raise ValueError("an uncertainty set needs at least one vertex")
         d = vertices[0].dimension
-        if any(v.dimension != d or v.jumps.dimension != d for v in vertices):
+        if any(v.dimension != d for v in vertices):
             raise ValueError("all vertices must share one dimension")
-        jumps = [v.jumps for v in vertices]
-        locations, rates = _atom_table(np.concatenate([j.rates for j in jumps]),
-                                       np.concatenate([j.locations for j in jumps]),
-                                       [j.m for j in jumps])
+        atoms: dict[tuple, int] = {}
+        atom = [atoms.setdefault(row, len(atoms))
+                for v in vertices for row in map(tuple, v.jumps.locations.tolist())]
+        rates = np.zeros((len(atoms), len(vertices)))
+        np.add.at(rates, (np.array(atom, dtype=np.intp),
+                          np.repeat(np.arange(len(vertices)), [v.jumps.m for v in vertices])),
+                  np.concatenate([v.jumps.rates for v in vertices]))
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "drifts", _readonly([v.b for v in vertices]))
         object.__setattr__(self, "diffusions", _readonly([v.c for v in vertices]))
-        object.__setattr__(self, "locations", locations)
-        object.__setattr__(self, "rates", rates)
+        object.__setattr__(self, "locations", _readonly(np.reshape(list(atoms), (-1, d))))
+        object.__setattr__(self, "rates", _readonly(rates))
 
     @classmethod
     def stacked(cls, drifts: np.ndarray, diffusions: np.ndarray, rates: np.ndarray,
@@ -315,26 +269,27 @@ class UncertaintySet:
         (k, d, d), vertex i carrying the next counts[i] of the listed atoms
         rates (n,) and locations (n, d), discretized where approximate[i].
 
-        Each diffusion matrix is clamped as :class:`LevyTriplet` clamps it,
-        by one batched eigh for the whole stack, and the vertex objects are
-        views of these arrays, so no matrix is decomposed on its own.
+        The vertex rules (:func:`_vertex_rules`) run once over the whole
+        stack: one batched eigh clamps each diffusion matrix as
+        :class:`LevyTriplet` clamps it and checks it. A vertex that breaks a
+        rule raises ModelError "vertex i: message; ...". The vertex objects
+        are views of these arrays, so no matrix is decomposed on its own.
         """
-        arrays = [np.array(a, dtype=float) for a in (drifts, diffusions, rates, locations)]
-        arrays[1] = _clamped(arrays[1])
-        arrays[3] = arrays[3].reshape(-1, arrays[0].shape[1])
-        for a in arrays:
+        drifts, diffusions, rates, locations = (
+            np.array(a, dtype=float) for a in (drifts, diffusions, rates, locations))
+        locations = locations.reshape(-1, drifts.shape[1])
+        diffusions, found = _vertex_rules(drifts, diffusions, rates, locations, counts)
+        if found:
+            raise ModelError("; ".join(f"vertex {i}: {message}" for i, message in found))
+        for a in (drifts, diffusions, rates, locations):
             a.setflags(write=False)
-        drifts, diffusions, rates, locations = arrays
         ends = np.cumsum(counts).tolist()
-        vertices = tuple(
+        return cls(tuple(
             _built(LevyTriplet, b=b, c=c, jumps=_built(
                 JumpMeasure, rates=rates[start:end], locations=locations[start:end],
                 approximate=bool(flag)))
             for b, c, start, end, flag in zip(drifts, diffusions, [0] + ends, ends,
-                                              approximate))
-        table, table_rates = _atom_table(rates, locations, counts)
-        return _built(cls, vertices=vertices, drifts=drifts, diffusions=diffusions,
-                      locations=table, rates=table_rates)
+                                              approximate)))
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -630,7 +585,8 @@ def compile_box_to_vertices(*, b_intervals: Sequence[Sequence[float]],
 
     Degenerate intervals contribute no factor, so k free parameters yield
     2**k vertices. Raises TooManyVerticesError when that count would exceed
-    4096 (13 or more free parameters).
+    4096 (13 or more free parameters), and ModelError when a corner breaks
+    a vertex rule (see :meth:`UncertaintySet.stacked`).
     """
     if len(rate_intervals) != len(atom_locations):
         raise ValueError("one rate interval per atom location is required")
@@ -643,7 +599,7 @@ def compile_box_to_vertices(*, b_intervals: Sequence[Sequence[float]],
             f"(cap {MAX_BOX_VERTICES})")
     d = len(b_intervals)
     corners = np.array(list(itertools.product(*params)), dtype=float)
-    with np.errstate(over="ignore"):  # the loader's validation refuses the inf
+    with np.errstate(over="ignore"):  # the vertex rules refuse the inf
         diffusions = corners[:, d, None, None] * np.asarray(c_base, dtype=float)
     kept = corners[:, d + 1:] > 0.0
     locations = np.reshape(np.asarray(atom_locations, dtype=float), (-1, d))

@@ -27,7 +27,6 @@ from .levy import (
     compile_box_to_vertices,
     discretize_density,
     effective_domain,
-    validate_vertices,
 )
 
 _TOP_KEYS = {"dimension", "utility", "T", "x0", "C", "Theta", "solver", "simulation"}
@@ -335,10 +334,10 @@ def _resolved_dict(dimension: int, utility: UtilitySpec, horizon: float, x0: flo
 def load_model(path: str) -> ProblemSpec:
     """Load, validate, and resolve a JSON model file.
 
-    A vertex list is parsed in one pass straight into stacked arrays (see
-    :meth:`UncertaintySet.stacked`), and every vertex is checked at once by
-    the rules of :func:`validate_triplet`, so the diffusion matrices are
-    decomposed in two batched calls, not one or two per vertex.
+    A vertex list is parsed in one pass straight into stacked arrays, and
+    :meth:`UncertaintySet.stacked` clamps and checks every vertex of Theta at
+    once while Theta is parsed, before C, solver and simulation: the
+    diffusion matrices are decomposed in one batched call, not one per vertex.
 
     Raises ParseError for invalid JSON, SchemaError for structural problems,
     and ModelError for well-formed files describing invalid problems: bad
@@ -374,9 +373,6 @@ def load_model(path: str) -> ProblemSpec:
     constraints = _parse_constraints(raw.get("C"), dimension)
     resolved_solver = _parse_solver(raw.get("solver"))
     simulation = _parse_simulation(raw.get("simulation"))
-    violations = validate_vertices(theta)
-    if violations:
-        raise ModelError("; ".join(violations))
     feasible, compact = effective_domain(constraints, theta)
     kappa = characteristics_bound(theta, utility)
     if not compact:

@@ -267,8 +267,7 @@ def maximize_robust(theta: UncertaintySet, feasible: Polyhedron,
     if value <= 0.0:
         # The zero strategy is always feasible here and earns exactly 0.
         y = np.zeros(d)
-        value = model.robust_value(y)
-    _, worst = model.robust(y)
+    value, worst = model.robust(y)
     return Solution(y_hat=y, robust_g=value, worst_vertex=worst, diagnostics=diagnostics)
 
 
@@ -327,13 +326,14 @@ def _bracket(model: GrowthModel, feasible: Polyhedron, y, weights,
     vertex growth rate is concave, so the mixture f = sum_i w_i G_i lies below
     its tangent plane at y, and for every feasible x
 
-        f(x) <= f(y) + lam . (o - N y) + ||g - N^T lam||_inf * ||x - y||_1,
+        f(x) <= f(y) + lam . (o - N y) + r . (x - y),  r = g - N^T lam,
 
     where g is the gradient of f at y (weak duality, the linearization bound
-    behind the Frank-Wolfe duality gap). The last norm is at most
-    sum_j max(hi_j - y_j, y_j - lo_j) over the polytope's cached bounding
-    box, and the game value is at most the maximum of f. The dual bound is
-    inf where a mixture gradient is singular at y or the sum is not finite.
+    behind the Frank-Wolfe duality gap). The polytope lies in its cached
+    bounding box [lo, hi], so the last term is at most
+    sum_j max(r_j (hi_j - y_j), r_j (lo_j - y_j)), coordinate by coordinate,
+    and the game value is at most the maximum of f. The dual bound is inf
+    where a mixture gradient is singular at y or the sum is not finite.
     """
     y = np.asarray(y, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -356,8 +356,9 @@ def _bracket(model: GrowthModel, feasible: Polyhedron, y, weights,
     residual = weights[support] @ grads - feasible.normals.T @ multipliers
     slack = feasible.offsets - feasible.normals @ y
     lo, hi = feasible.bounds
-    bound = (float(weights[support] @ gvals[support]) + float(multipliers @ slack)
-             + float(np.max(np.abs(residual))) * float(np.sum(np.maximum(hi - y, y - lo))))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN: the bound is inf
+        reach = float(np.sum(np.maximum(residual * (hi - y), residual * (lo - y))))
+    bound = float(weights[support] @ gvals[support]) + float(multipliers @ slack) + reach
     return (bound if math.isfinite(bound) else math.inf), lower
 
 

@@ -12,6 +12,7 @@ from rlp import (
     InfeasibleError,
     JumpMeasure,
     LevyTriplet,
+    ModelError,
     OriginExcludedError,
     Polyhedron,
     SupportContainsZeroError,
@@ -87,6 +88,13 @@ def test_triplet_clamps_as_one_matrix_at_a_time():
         assert t.c.tobytes() == clamped_matrix(c).tobytes()
         clamped += not np.array_equal(t.c, c)
     assert clamped
+
+
+def test_triplet_refuses_arrays_of_another_dimension():
+    with pytest.raises(ValueError, match="shape"):
+        LevyTriplet(np.zeros(1), np.eye(2), JumpMeasure.empty(1))
+    with pytest.raises(ValueError, match="jump locations"):
+        LevyTriplet(np.zeros(1), np.eye(1), JumpMeasure.from_atoms([(0.1, (0.5, 0.5))]))
 
 
 def test_triplet_arrays_are_readonly():
@@ -475,6 +483,20 @@ def test_compile_box_zero_rate_corner_drops_the_atom():
     theta = compile_box_to_vertices(**box)
     counts = sorted(v.jumps.m for v in theta.vertices)
     assert counts == [0, 1]
+
+
+def test_compile_box_refuses_an_overflowing_diffusion_scale():
+    box = dict(
+        b_intervals=[[0.0, 0.1]],
+        c_scale=[1.0, 1e308],
+        c_base=np.array([[10.0]]),
+        atom_locations=[],
+        rate_intervals=[],
+    )
+    with pytest.raises(ModelError) as info:
+        compile_box_to_vertices(**box)
+    assert str(info.value) == ("vertex 1: diffusion matrix has non-finite entries; "
+                               "vertex 3: diffusion matrix has non-finite entries")
 
 
 def test_compile_box_vertex_cap():

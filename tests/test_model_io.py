@@ -440,15 +440,21 @@ def test_bad_vertices_are_reported_as_one_at_a_time(tmp_path):
 
 
 def test_loading_decomposes_the_diffusions_in_batches(monkeypatch):
-    # one batched eigh clamps all 16 diffusions and one batched eigvalsh
-    # checks them; one call per matrix would make 32
+    # one batched eigh both clamps and checks all 16 diffusions
     shapes = []
     for name in ("eigh", "eigvalsh"):
-        def counted(a, *args, _decompose=getattr(np.linalg, name), **kwargs):
-            shapes.append(np.shape(a))
+        def counted(a, *args, _name=name, _decompose=getattr(np.linalg, name), **kwargs):
+            shapes.append((_name, np.shape(a)))
             return _decompose(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
     spec = load_model(str(SADDLE_INPUTS / "saddle_2_03.json"))
     assert len(spec.theta) == 16
-    assert shapes and len(shapes) <= 2
-    assert all(shape == (16, 4, 4) for shape in shapes)
+    assert shapes == [("eigh", (16, 4, 4))]
+
+
+def test_a_bad_vertex_is_reported_before_a_bad_solver_block(tmp_path):
+    model = minimal_model(Theta={"vertices": [{"b": [0.1], "c": [[-1.0]]}]},
+                          solver={"max_iters": 0})
+    with pytest.raises(ModelError) as info:
+        load_model(write_model(tmp_path, model))
+    assert str(info.value) == "vertex 0: diffusion matrix is not PSD (min eigenvalue -1.000e+00)"

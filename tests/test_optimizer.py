@@ -509,8 +509,7 @@ def random_polytope_game(rng: np.random.Generator, pooled: bool = False):
     With ``pooled`` the vertices come from :func:`pooled_vertices`, and with
     probability 1/2 the box radius is instead drawn so that the box reaches
     past the bankruptcy face -z . y <= 1 of one atom z, where 1 + y . z falls
-    to 0 on the feasible set. The radius is capped at 3, because the
-    certificate's bound grows with the width of the box."""
+    to 0 on the feasible set."""
     d = int(rng.integers(1, 5))
     k = int(rng.integers(1, 5))
     if pooled:
@@ -521,7 +520,7 @@ def random_polytope_game(rng: np.random.Generator, pooled: bool = False):
     radius = 0.75 / math.sqrt(d)
     if pooled and len(theta.locations) and rng.uniform() < 0.5:
         z = theta.locations[rng.integers(len(theta.locations))]
-        radius = min(float(rng.uniform(1.0, 1.5)) / float(np.abs(z).sum()), 3.0)
+        radius = float(rng.uniform(1.0, 1.5)) / float(np.abs(z).sum())
     constraints = Polyhedron.box([(-radius, radius)] * d)
     if d >= 2 and rng.uniform() < 0.5:
         m = int(rng.integers(1, 3))
@@ -550,6 +549,7 @@ def test_an_optimum_between_the_last_two_shrink_levels_certifies():
 @example(109)  # the solver's point lies 6.4e-19 past a face through the origin
 @example(33)  # SLSQP ends past a face through the origin that is not a coordinate face
 @example(58)
+@example(4530)  # a box of radius 150 around a 0.01-long atom
 def test_a_passing_certificate_is_never_beaten(case_seed):
     for pooled in (False, True):
         rng = np.random.default_rng(case_seed)
