@@ -55,13 +55,6 @@ class NotCompactError(RlpError):
     code = "NotCompact"
 
 
-class DidNotConvergeError(RlpError):
-    """The d >= 2 maximizer binds a no-bankruptcy face tightened to the jump
-    factor 1/SHRINK_LEVEL, so the untightened optimum may lie beyond it."""
-
-    code = "DidNotConverge"
-
-
 class SaddleNotCertifiedError(RlpError):
     """The stationarity mixture did not pass the saddle residual checks.
 

@@ -148,19 +148,21 @@ class GrowthModel:
             grad = grad + rates @ (locations * slope[:, None] - truncated)
         return grad
 
-    def smoothed(self, y: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
-        """Per-vertex values and gradients with jump factors linearized below ``floor``.
+    def smoothed(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-vertex values and gradients with each jump term continued along
+        its tangent below the jump factor SINGULARITY_TOL.
 
-        Below s = floor the jump term continues with constant slope, which
-        keeps the function finite and C1 for line searches that briefly leave
-        the feasible set. The extension region must be infeasible for the
-        caller, so feasible results are exact.
+        The continuation keeps the function finite and C1 for solvers whose
+        steps reach or pass a bankruptcy face. Where every jump factor exceeds
+        SINGULARITY_TOL, which is wherever :meth:`gradient` is defined, the
+        results are exact.
         """
         y = np.asarray(y, dtype=float)
         vals = self.drifts @ y + 0.5 * (self.p - 1.0) * ((self.diffusions @ y) @ y)
         grads = self.drifts + (self.p - 1.0) * (self.diffusions @ y)
         if len(self.rates):
             s = self.locations @ y
+            floor = -1.0 + SINGULARITY_TOL
             base, slope = _phi(np.maximum(s, floor), self.p)
             terms = base + slope * np.minimum(s - floor, 0.0) - self.truncated @ y
             vals = vals + self._per_vertex(terms)

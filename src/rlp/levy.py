@@ -61,8 +61,9 @@ def _vertex_rules(drifts: np.ndarray, diffusions: np.ndarray, rates: np.ndarray,
     listed jump atoms, rates (n,) and locations (n, d), of which vertex i owns
     the next counts[i]. A diffusion matrix must be symmetric, |c - c^T| <=
     SYMMETRY_TOL entrywise (a non-finite entry fails, where np.allclose would
-    call equal infinities close). One batched eigh of (c + c^T) / 2 over the
-    symmetric matrices decides the rest: a smallest eigenvalue in
+    call equal infinities close). One batched eigh of the symmetric part
+    c / 2 + c^T / 2 (halved before the sum, so no finite entry overflows) over
+    the symmetric matrices decides the rest: a smallest eigenvalue in
     [-PSD_TOL, 0) is clipped to 0 with the others and the matrix rebuilt from
     the eigenpairs, one below -PSD_TOL is reported. The input is not written
     to. A vertex with a non-finite diffusion matrix gets no further checks.
@@ -75,7 +76,7 @@ def _vertex_rules(drifts: np.ndarray, diffusions: np.ndarray, rates: np.ndarray,
     low = np.zeros(k)
     if sym.any():
         c = diffusions[sym]
-        w, v = np.linalg.eigh((c + c.transpose(0, 2, 1)) / 2.0)
+        w, v = np.linalg.eigh(c / 2.0 + c.transpose(0, 2, 1) / 2.0)
         low[sym] = w.min(axis=1)
         clip = (low[sym] >= -PSD_TOL) & (low[sym] < 0.0)
         if clip.any():
@@ -382,9 +383,10 @@ def characteristics_bound(theta: UncertaintySet, utility: UtilitySpec) -> float:
         w = norms ** (p * (1.0 + utility.epsilon))
     else:
         w = np.ones_like(norms)
-    totals = (np.linalg.norm(theta.drifts, axis=1)
-              + np.linalg.norm(theta.diffusions, axis=(1, 2))
-              + np.minimum(norms ** 2, w) @ theta.rates)
+    with np.errstate(over="ignore"):  # a norm past the float range is inf
+        totals = (np.linalg.norm(theta.drifts, axis=1)
+                  + np.linalg.norm(theta.diffusions, axis=(1, 2))
+                  + np.minimum(norms ** 2, w) @ theta.rates)
     return float(totals.max())
 
 

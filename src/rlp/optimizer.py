@@ -3,9 +3,8 @@
 The solver maximizes the worst-case growth rate (a concave function of the
 strategy) over the compact intersection of the user constraints with the
 no-bankruptcy halfspaces. It takes no tuning parameters. Multidimensional
-problems run one smooth epigraph solve (SLSQP) with every no-bankruptcy face
-tightened to the jump factor 1/SHRINK_LEVEL, and its maximizer must stay off
-those faces; one-dimensional problems use golden-section search directly.
+problems run one smooth epigraph solve (SLSQP) on that polytope itself;
+one-dimensional problems use golden-section search.
 :func:`certificate_at` certifies a strategy, and every answer, ``solve``'s
 included, carries its certificate. The saddle's mixture on the uncertainty
 simplex and its face multipliers come from a nonnegative least-squares fit
@@ -23,19 +22,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import OptimizeResult, minimize, nnls
 
-from .errors import (
-    AtSingularityError,
-    DidNotConvergeError,
-    NotCompactError,
-    SaddleNotCertifiedError,
-)
+from .errors import AtSingularityError, NotCompactError, SaddleNotCertifiedError
 from .growth import GrowthModel
-from .levy import Polyhedron, UncertaintySet, UtilitySpec, natural_constraints
+from .levy import Polyhedron, UncertaintySet, UtilitySpec
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-# The d >= 2 solve holds every jump factor 1 + z . y at 1/SHRINK_LEVEL or more.
-SHRINK_LEVEL = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,11 +166,12 @@ def problem_value(robust_growth: float, utility: UtilitySpec, x0: float, horizon
     return (x0 ** p) * unit
 
 
-def _slsqp_max(model: GrowthModel, region: FeasibleRegion, y0: np.ndarray,
-               floor: float) -> tuple[np.ndarray, OptimizeResult]:
+def _slsqp_max(model: GrowthModel, region: FeasibleRegion,
+               y0: np.ndarray) -> tuple[np.ndarray, OptimizeResult]:
     """Smooth epigraph solve from y0: maximize t over (y, t) subject to
-    G_j(y) >= t for each vertex's smoothed growth rate G_j, and y in the
-    region. With one vertex this is the maximization of G_1 itself.
+    G_j(y) >= t for each vertex's smoothed growth rate G_j
+    (:meth:`GrowthModel.smoothed`), and y in the region. With one vertex this
+    is the maximization of G_1 itself.
 
     Returns the solution, moved to the region's nearest point when SLSQP
     ends just outside it, and the raw SLSQP result.
@@ -193,7 +185,7 @@ def _slsqp_max(model: GrowthModel, region: FeasibleRegion, y0: np.ndarray,
         if key not in cache:
             if len(cache) > 128:
                 cache.clear()
-            cache[key] = model.smoothed(y, floor)
+            cache[key] = model.smoothed(y)
         return cache[key]
 
     y0 = np.asarray(y0, dtype=float)
@@ -230,44 +222,32 @@ def maximize_robust(theta: UncertaintySet, feasible: Polyhedron,
 
     One-dimensional problems are solved by golden-section search on the
     concave worst-case envelope, to golden_max's resolution. Otherwise one
-    smooth epigraph solve (SLSQP) runs from the origin on the shrink level
-    n = SHRINK_LEVEL, where every jump factor 1 + z . y is held at 1/n or
-    more. The growth rate is concave, so a maximizer with none of these faces
-    active is a local, hence global, maximizer of the untightened problem;
-    DidNotConvergeError is raised when one is active, by the relative 1e-8
-    rule of :func:`_stationarity_weights`. The diagnostics record the level's
-    n, value, SLSQP status, iteration count and smallest jump factor (inf
-    without atoms); a nonzero status is not an error, as the certificate
-    (:func:`certificate_at`) judges the answer.
-    Raises NotCompactError when the feasible set is unbounded.
+    smooth epigraph solve (SLSQP) runs from the origin on the feasible
+    polytope itself, whose no-bankruptcy faces hold every jump factor
+    1 + z . y at 0 or more; the jump terms are continued linearly below the
+    jump factor SINGULARITY_TOL, where gradients are refused. The
+    diagnostics record the SLSQP status, its iteration count and the
+    smallest jump factor at the answer (inf without atoms); a nonzero status
+    is not an error, as the certificate (:func:`certificate_at`) judges the
+    answer. Raises NotCompactError when the feasible set is unbounded.
     """
     model = GrowthModel(theta, utility)
     if not feasible.compact:
         raise NotCompactError("the feasible set is unbounded; no maximizer exists in general")
     d = feasible.dimension
-    diagnostics: dict = {}
     if d == 1:
         lo, hi = feasible.bounds
-        y_scalar, value = golden_max(lambda t: model.robust_value(np.array([t])), lo[0], hi[0])
-        y = np.array([y_scalar])
-        diagnostics["method"] = "golden-section"
+        y = np.array([golden_max(lambda t: model.robust_value(np.array([t])), lo[0], hi[0])[0]])
+        diagnostics: dict = {"method": "golden-section"}
     else:
-        n = SHRINK_LEVEL
-        shrunk = feasible.intersect(natural_constraints(theta, n))
-        y, res = _slsqp_max(model, FeasibleRegion(shrunk), np.zeros(d), -1.0 + 0.5 / n)
-        value = model.robust_value(y)
-        min_jump = float(np.min(1.0 + theta.locations @ y, initial=math.inf))
-        diagnostics.update({"method": "slsqp-epigraph", "levels_run": 1, "levels": [
-            {"n": n, "value": float(value), "status": int(res.status), "nit": int(res.nit),
-             "min_jump_factor": min_jump}]})
-        if min_jump - 1.0 / n <= 1e-8 * (2.0 - 1.0 / n):
-            raise DidNotConvergeError(
-                f"the maximizer binds a no-bankruptcy face tightened to 1/{n} (smallest "
-                f"jump factor {min_jump:.3e}), so the untightened optimum may lie beyond it")
-    if value <= 0.0:
-        # The zero strategy is always feasible here and earns exactly 0.
-        y = np.zeros(d)
+        y, res = _slsqp_max(model, FeasibleRegion(feasible), np.zeros(d))
+        jump = float(np.min(1.0 + theta.locations @ y, initial=math.inf))
+        diagnostics = {"method": "slsqp-epigraph", "status": int(res.status),
+                       "nit": int(res.nit), "min_jump_factor": jump}
     value, worst = model.robust(y)
+    if value <= 0.0:
+        # The zero strategy is always feasible here and earns exactly 0 at every vertex.
+        y, value, worst = np.zeros(d), 0.0, 0
     return Solution(y_hat=y, robust_g=value, worst_vertex=worst, diagnostics=diagnostics)
 
 

@@ -36,26 +36,28 @@ from rlp import (
     natural_constraints,
 )
 from rlp.levy import PSD_TOL, SYMMETRY_TOL
-from rlp.optimizer import SHRINK_LEVEL, FeasibleRegion, _slsqp_max, golden_max
+from rlp.optimizer import FeasibleRegion, _slsqp_max, golden_max
 from rlp.simulator import _CHUNK, _CHUNK_STREAM, _estimate, _generator, _log_wealth
 
 # Kelley's cutting planes stop on this relative bracket width, or this many cuts.
 KELLEY_RTOL = 1e-7
 KELLEY_MAX_CUTS = 60
 
+# Best responses in several dimensions hold every jump factor 1 + z . y at
+# 1/RESPONSE_LEVEL or more, so they stay clear of the bankruptcy faces.
+RESPONSE_LEVEL = 1024
 
-def response_region(theta: UncertaintySet,
-                    feasible: Polyhedron) -> tuple[FeasibleRegion, float]:
-    """Region and smoothing floor for best responses: the solver's shrink
-    level in several dimensions, the untightened polytope in one."""
+
+def response_region(theta: UncertaintySet, feasible: Polyhedron) -> FeasibleRegion:
+    """Region for best responses: the feasible polytope tightened to
+    RESPONSE_LEVEL in several dimensions, untightened in one."""
     if feasible.dimension > 1:
-        feasible = feasible.intersect(natural_constraints(theta, SHRINK_LEVEL))
-    return FeasibleRegion(feasible), -1.0 + 0.5 / SHRINK_LEVEL
+        feasible = feasible.intersect(natural_constraints(theta, RESPONSE_LEVEL))
+    return FeasibleRegion(feasible)
 
 
 def single_max(triplet: LevyTriplet, region: FeasibleRegion, utility: UtilitySpec,
-               y0: np.ndarray | None = None,
-               floor: float = -1.0 + 0.5 / 1024) -> tuple[np.ndarray, float]:
+               y0: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """Maximize one triplet's growth rate over the region.
 
     The growth rate is concave in the strategy, so one local solve is global:
@@ -68,7 +70,7 @@ def single_max(triplet: LevyTriplet, region: FeasibleRegion, utility: UtilitySpe
         x, value = golden_max(lambda t: model.robust_value(np.array([t])), lo[0], hi[0])
         return np.array([x]), value
     start = np.zeros(region.d) if y0 is None else y0
-    y, _ = _slsqp_max(model, region, start, floor)
+    y, _ = _slsqp_max(model, region, start)
     return y, model.robust_value(y)
 
 
@@ -79,7 +81,7 @@ def mixture_min(theta: UncertaintySet, feasible: Polyhedron,
 
     That function of w is convex, and a best response y_w to any mixture
     gives the cut w' -> sum_i w'_i G_i(y_w) below it. From uniform weights,
-    each round runs one best response on the solver's shrink level (warm-started
+    each round runs one best response on :func:`response_region` (warm-started
     from the last), adds its cut and solves the master LP min t subject to
     cut_j . w <= t over the simplex: its optimum is the lower bound and its
     argmin the next mixture. The smallest best-response value is the upper
@@ -88,7 +90,7 @@ def mixture_min(theta: UncertaintySet, feasible: Polyhedron,
     """
     k = len(theta.vertices)
     model = GrowthModel(theta, utility)
-    region, floor = response_region(theta, feasible)
+    region = response_region(theta, feasible)
     cost = np.append(np.zeros(k), 1.0)
     a_eq = np.append(np.ones(k), 0.0)[None, :]
     bounds = [(0.0, None)] * k + [(None, None)]
@@ -96,7 +98,7 @@ def mixture_min(theta: UncertaintySet, feasible: Polyhedron,
     lower, upper, best, y = -math.inf, math.inf, weights, None
     cuts: list[np.ndarray] = []
     while len(cuts) < KELLEY_MAX_CUTS:
-        y, value = single_max(theta.mix(weights), region, utility, y0=y, floor=floor)
+        y, value = single_max(theta.mix(weights), region, utility, y0=y)
         if value < upper:
             upper, best = value, weights
         if k == 1:

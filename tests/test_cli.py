@@ -354,17 +354,34 @@ def test_negative_box_rate_exits_1(capsys, tmp_path):
     assert report["results"]["n_vertices"] == 8
 
 
-def test_overflowing_box_diffusion_exits_1_without_a_warning(capsys, tmp_path):
+def overflowing_box_model() -> dict:
     model = json.loads(Path(BOX).read_text())
     model["Theta"]["box"]["c_base"] = [[1e308]]
     model["Theta"]["box"]["c_scale"] = [10.0, 20.0]
+    return model
+
+
+def overflowing_vertex_model() -> dict:
+    # finite but too large to add to itself; the C box lets the load reach kappa
+    return {"dimension": 1, "utility": {"kind": "log"}, "T": 1, "x0": 1,
+            "C": {"box": [[-1.0, 1.0]]},
+            "Theta": {"vertices": [{"b": [0.1], "c": [[1e308]]}]}}
+
+
+@pytest.mark.parametrize("model, message", [
+    (overflowing_box_model(), "diffusion matrix has non-finite entries"),
+    (overflowing_vertex_model(), "the characteristics bound kappa is not finite"),
+], ids=["box", "vertex-list"])
+def test_overflowing_box_diffusion_exits_1_without_a_warning(capsys, tmp_path, model, message):
     path = write_model(tmp_path, json.dumps(model))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         status = main(["validate", "--model", path])
     captured = capsys.readouterr()
     assert status == 1
-    assert json.loads(captured.out)["results"]["error"]["code"] == "ModelError"
+    error = json.loads(captured.out)["results"]["error"]
+    assert error["code"] == "ModelError"
+    assert message in error["message"]
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert "RuntimeWarning" not in captured.err
 

@@ -187,10 +187,9 @@ def test_smoothed_matches_exact_values_above_the_floor():
     theta, _, u = random_instance(901)
     model = GrowthModel(theta, u)
     rng = np.random.default_rng(3)
-    floor = -1.0 + 0.5 / 1024
     for _ in range(20):
         y = rng.uniform(-0.3, 0.3, theta.dimension)
-        vals, grads = model.smoothed(y, floor)
+        vals, grads = model.smoothed(y)
         exact = model.vertex_values(y)
         assert vals == pytest.approx(exact, rel=1e-12, abs=1e-14)
         for i in range(model.k):
@@ -211,12 +210,11 @@ def test_the_atom_table_matches_each_vertex_on_its_own():
     assert mixed.jumps.m == 2
     rates = {tuple(z): r for r, z in zip(mixed.jumps.rates, mixed.jumps.locations)}
     assert rates[(0.4, 0.0)] == pytest.approx(0.5 * 0.25 + 0.5 * 0.15, abs=1e-15)
-    floor = -1.0 + 0.5 / 1024
     for u in (LOG, UtilitySpec.power_utility(0.5), UtilitySpec.power_utility(-1.5)):
         model = GrowthModel(theta, u)
         for y in (np.array([0.3, -0.2]), np.array([-1.0, 0.5]), np.array([2.0, 0.7])):
             vals = model.vertex_values(y)
-            smooth_vals, smooth_grads = model.smoothed(y, floor)
+            smooth_vals, smooth_grads = model.smoothed(y)
             for i, t in enumerate(theta.vertices):
                 listed = sum(r * jump_integrand(y, z, u)
                              for r, z in zip(t.jumps.rates, t.jumps.locations))
@@ -236,8 +234,7 @@ def test_the_atom_table_matches_each_vertex_on_its_own():
 def test_smoothed_is_finite_past_the_boundary():
     t = one_asset(0.1, 0.04, [(0.05, (-0.5,))])
     model = GrowthModel(UncertaintySet((t,)), LOG)
-    floor = -1.0 + 0.5 / 1024
-    vals, grads = model.smoothed(np.array([5.0]), floor)  # 1 + y z = -1.5
+    vals, grads = model.smoothed(np.array([5.0]))  # 1 + y z = -1.5
     assert np.all(np.isfinite(vals))
     assert np.all(np.isfinite(grads))
     # exact value there is -inf
