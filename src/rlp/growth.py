@@ -116,20 +116,6 @@ class GrowthModel:
             idx = int(np.argmax(vals <= low + 1e-9 * (1.0 + abs(low))))
         return low, idx
 
-    def robust_value(self, y: np.ndarray) -> float:
-        return self.robust(y)[0]
-
-    def parts(self, i: int, y: np.ndarray) -> GrowthEvaluation:
-        """Growth rate of vertex i at y, split into its three contributions."""
-        y = np.asarray(y, dtype=float)
-        drift = float(self.drifts[i] @ y)
-        diffusion = 0.5 * (self.p - 1.0) * float(y @ self.diffusions[i] @ y)
-        rates, locations, truncated = self._atoms(i)
-        jump = 0.0
-        if len(rates):
-            jump = float(rates @ _jump_terms(locations @ y, truncated @ y, self.p))
-        return GrowthEvaluation(drift + diffusion + jump, drift, diffusion, jump)
-
     def gradient(self, i: int, y: np.ndarray) -> np.ndarray:
         """Supergradient of vertex i at y.
 
@@ -171,9 +157,15 @@ class GrowthModel:
 
 
 def growth_rate(triplet: LevyTriplet, y: np.ndarray, utility: UtilitySpec) -> GrowthEvaluation:
-    """Growth rate of one triplet at strategy y, with its term decomposition."""
-    model = GrowthModel(UncertaintySet((triplet,)), utility)
-    return model.parts(0, np.atleast_1d(np.asarray(y, dtype=float)))
+    """Growth rate of one triplet at strategy y, with its term decomposition,
+    from the triplet's own arrays."""
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    jumps = triplet.jumps
+    drift = float(triplet.b @ y)
+    diffusion = 0.5 * (utility.p - 1.0) * float(y @ triplet.c @ y)
+    jump = float(jumps.rates @ _jump_terms(jumps.locations @ y,
+                                           truncation(jumps.locations) @ y, utility.p))
+    return GrowthEvaluation(drift + diffusion + jump, drift, diffusion, jump)
 
 
 def worst_case_growth(theta: UncertaintySet, y: np.ndarray,

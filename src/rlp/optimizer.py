@@ -2,9 +2,8 @@
 
 The solver maximizes the worst-case growth rate (a concave function of the
 strategy) over the compact intersection of the user constraints with the
-no-bankruptcy halfspaces. It takes no tuning parameters. Multidimensional
-problems run one smooth epigraph solve (SLSQP) on that polytope itself;
-one-dimensional problems use golden-section search.
+no-bankruptcy halfspaces. It takes no tuning parameters: every dimension
+runs one smooth epigraph solve (SLSQP) on that polytope itself.
 :func:`certificate_at` certifies a strategy, and every answer, ``solve``'s
 included, carries its certificate. The saddle's mixture on the uncertainty
 simplex and its face multipliers come from a nonnegative least-squares fit
@@ -25,9 +24,6 @@ from scipy.optimize import OptimizeResult, minimize, nnls
 from .errors import AtSingularityError, NotCompactError, SaddleNotCertifiedError
 from .growth import GrowthModel
 from .levy import Polyhedron, UncertaintySet, UtilitySpec
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 @dataclass(frozen=True, eq=False)
 class Solution:
@@ -106,36 +102,6 @@ class FeasibleRegion:
                     return x
                 start = x
         return np.zeros(self.d)
-
-
-def golden_max(fun, lo: float, hi: float, xtol: float = 1e-11) -> tuple[float, float]:
-    """Golden-section maximization of a concave function on [lo, hi].
-
-    Only interior points are evaluated, so boundary values of -inf are
-    handled naturally.
-    """
-    a, b = float(lo), float(hi)
-    if b - a <= xtol:
-        x = 0.5 * (a + b)
-        return x, fun(x)
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1, f2 = fun(x1), fun(x2)
-    while b - a > xtol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (b - a)
-            f2 = fun(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INVPHI * (b - a)
-            f1 = fun(x1)
-    x = 0.5 * (a + b)
-    fx = fun(x)
-    for xc, fc in ((x1, f1), (x2, f2)):
-        if fc > fx:
-            x, fx = xc, fc
-    return x, fx
 
 
 def problem_value(robust_growth: float, utility: UtilitySpec, x0: float, horizon: float) -> float:
@@ -220,30 +186,24 @@ def maximize_robust(theta: UncertaintySet, feasible: Polyhedron,
                     utility: UtilitySpec) -> Solution:
     """Maximize the worst-case growth rate over the feasible polytope.
 
-    One-dimensional problems are solved by golden-section search on the
-    concave worst-case envelope, to golden_max's resolution. Otherwise one
-    smooth epigraph solve (SLSQP) runs from the origin on the feasible
-    polytope itself, whose no-bankruptcy faces hold every jump factor
-    1 + z . y at 0 or more; the jump terms are continued linearly below the
-    jump factor SINGULARITY_TOL, where gradients are refused. The
-    diagnostics record the SLSQP status, its iteration count and the
-    smallest jump factor at the answer (inf without atoms); a nonzero status
-    is not an error, as the certificate (:func:`certificate_at`) judges the
-    answer. Raises NotCompactError when the feasible set is unbounded.
+    One smooth epigraph solve (SLSQP) runs from the origin on the feasible
+    polytope itself, in every dimension; its no-bankruptcy faces hold every
+    jump factor 1 + z . y at 0 or more, and the jump terms are continued
+    linearly below the jump factor SINGULARITY_TOL, where gradients are
+    refused. The diagnostics record the SLSQP status, its iteration count and
+    the smallest jump factor at the answer (inf without atoms); a nonzero
+    status is not an error, as the certificate (:func:`certificate_at`)
+    judges the answer. Raises NotCompactError when the feasible set is
+    unbounded.
     """
     model = GrowthModel(theta, utility)
     if not feasible.compact:
         raise NotCompactError("the feasible set is unbounded; no maximizer exists in general")
     d = feasible.dimension
-    if d == 1:
-        lo, hi = feasible.bounds
-        y = np.array([golden_max(lambda t: model.robust_value(np.array([t])), lo[0], hi[0])[0]])
-        diagnostics: dict = {"method": "golden-section"}
-    else:
-        y, res = _slsqp_max(model, FeasibleRegion(feasible), np.zeros(d))
-        jump = float(np.min(1.0 + theta.locations @ y, initial=math.inf))
-        diagnostics = {"method": "slsqp-epigraph", "status": int(res.status),
-                       "nit": int(res.nit), "min_jump_factor": jump}
+    y, res = _slsqp_max(model, FeasibleRegion(feasible), np.zeros(d))
+    jump = float(np.min(1.0 + theta.locations @ y, initial=math.inf))
+    diagnostics = {"method": "slsqp-epigraph", "status": int(res.status),
+                   "nit": int(res.nit), "min_jump_factor": jump}
     value, worst = model.robust(y)
     if value <= 0.0:
         # The zero strategy is always feasible here and earns exactly 0 at every vertex.

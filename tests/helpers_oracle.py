@@ -36,12 +36,14 @@ from rlp import (
     natural_constraints,
 )
 from rlp.levy import PSD_TOL, SYMMETRY_TOL
-from rlp.optimizer import FeasibleRegion, _slsqp_max, golden_max
+from rlp.optimizer import FeasibleRegion, _slsqp_max
 from rlp.simulator import _CHUNK, _CHUNK_STREAM, _estimate, _generator, _log_wealth
 
 # Kelley's cutting planes stop on this relative bracket width, or this many cuts.
 KELLEY_RTOL = 1e-7
 KELLEY_MAX_CUTS = 60
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 # Best responses in several dimensions hold every jump factor 1 + z . y at
 # 1/RESPONSE_LEVEL or more, so they stay clear of the bankruptcy faces.
@@ -56,22 +58,53 @@ def response_region(theta: UncertaintySet, feasible: Polyhedron) -> FeasibleRegi
     return FeasibleRegion(feasible)
 
 
+def golden_max(fun, lo: float, hi: float, xtol: float = 1e-11) -> tuple[float, float]:
+    """Golden-section maximization of a concave function on [lo, hi].
+
+    Only interior points are evaluated, so boundary values of -inf are
+    handled naturally.
+    """
+    a, b = float(lo), float(hi)
+    if b - a <= xtol:
+        x = 0.5 * (a + b)
+        return x, fun(x)
+    x1 = b - _INVPHI * (b - a)
+    x2 = a + _INVPHI * (b - a)
+    f1, f2 = fun(x1), fun(x2)
+    while b - a > xtol:
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _INVPHI * (b - a)
+            f2 = fun(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _INVPHI * (b - a)
+            f1 = fun(x1)
+    x = 0.5 * (a + b)
+    fx = fun(x)
+    for xc, fc in ((x1, f1), (x2, f2)):
+        if fc > fx:
+            x, fx = xc, fc
+    return x, fx
+
+
 def single_max(triplet: LevyTriplet, region: FeasibleRegion, utility: UtilitySpec,
                y0: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """Maximize one triplet's growth rate over the region.
 
     The growth rate is concave in the strategy, so one local solve is global:
-    golden-section search in one dimension, otherwise one SLSQP solve from y0
-    (the origin when y0 is None).
+    golden-section search (:func:`golden_max`) in one dimension, a second
+    algorithm beside the library's SLSQP solve, otherwise one SLSQP solve
+    from y0 (the origin when y0 is None).
     """
     model = GrowthModel(UncertaintySet((triplet,)), utility)
     if region.d == 1:
         lo, hi = region.poly.bounds
-        x, value = golden_max(lambda t: model.robust_value(np.array([t])), lo[0], hi[0])
+        x, value = golden_max(lambda t: model.robust(np.array([t]))[0], lo[0], hi[0])
         return np.array([x]), value
     start = np.zeros(region.d) if y0 is None else y0
     y, _ = _slsqp_max(model, region, start)
-    return y, model.robust_value(y)
+    return y, model.robust(y)[0]
 
 
 def mixture_min(theta: UncertaintySet, feasible: Polyhedron,

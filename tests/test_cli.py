@@ -521,21 +521,18 @@ def test_solver_tolerances_and_schedule_have_no_effect(capsys, tmp_path):
 
 @pytest.mark.parametrize("command", ["saddle", "solve"])
 def test_uncertified_saddle_exits_2(capsys, tmp_path, command):
-    # the worst case switches vertices exactly at the optimum, so the
-    # kink location limits the attainable residuals
+    # the solver stops within about 6e-12 of the optimum y = b / c = 2, and
+    # the dual bound's linear term over the box turns that into a gap of
+    # about 5e-13, far above an absurdly small tolerance
     model = {
         "dimension": 1,
         "utility": {"kind": "log"},
         "T": 1.0,
         "x0": 1.0,
-        "Theta": {"vertices": [
-            {"b": [0.02], "c": [[0.001]]},
-            {"b": [0.06], "c": [[0.03]]},
-        ]},
+        "Theta": {"vertices": [{"b": [0.06], "c": [[0.03]]}]},
         "C": {"box": [[0.0, 5.0]]},
-        "solver": {"value_tol": 1e-16},
     }
-    path = tmp_path / "kink.json"
+    path = tmp_path / "parabola.json"
     path.write_text(json.dumps(model))
     status, report = run_json(
         capsys, [command, "--model", str(path), "--tol", "1e-15"])
@@ -546,10 +543,9 @@ def test_uncertified_saddle_exits_2(capsys, tmp_path, command):
     assert results["certified"] is False
     assert results["gap"] > 1e-15
     assert ("reason" in results) == (command == "saddle")
-    # the candidate itself is still sound at practical tolerances
-    y_star = 0.04 / 0.0145
-    assert results["value"] == pytest.approx(
-        0.02 * y_star - 0.0005 * y_star ** 2, abs=1e-8)
+    # the candidate itself is still sound at practical tolerances:
+    # b^2 / (2 c) = 0.06
+    assert results["value"] == pytest.approx(0.06, abs=1e-8)
 
 
 def test_the_bundled_market_neutral_model_solves_on_its_face(capsys):

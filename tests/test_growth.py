@@ -131,8 +131,8 @@ def test_concavity_in_y_along_random_segments():
             a = rng.uniform(-0.3, 0.3, d)
             b = rng.uniform(-0.3, 0.3, d)
             lam = rng.uniform()
-            mid = model.robust_value(lam * a + (1 - lam) * b)
-            chord = lam * model.robust_value(a) + (1 - lam) * model.robust_value(b)
+            mid = model.robust(lam * a + (1 - lam) * b)[0]
+            chord = lam * model.robust(a)[0] + (1 - lam) * model.robust(b)[0]
             assert mid >= chord - 1e-9
 
 
@@ -164,7 +164,7 @@ def test_vertex_reduction_inequality():
         model = GrowthModel(theta, u)
         y = rng.uniform(-0.3, 0.3, d)
         w = rng.dirichlet(np.ones(3))
-        vertex_min = model.robust_value(y)
+        vertex_min = model.robust(y)[0]
         assert growth_rate(theta.mix(w), y, u).value >= vertex_min - 1e-12
 
 
@@ -219,7 +219,7 @@ def test_the_atom_table_matches_each_vertex_on_its_own():
                 listed = sum(r * jump_integrand(y, z, u)
                              for r, z in zip(t.jumps.rates, t.jumps.locations))
                 direct = t.b @ y + 0.5 * (u.p - 1.0) * (y @ t.c @ y) + listed
-                for value in (vals[i], smooth_vals[i], model.parts(i, y).value):
+                for value in (vals[i], smooth_vals[i]):
                     assert value == pytest.approx(growth_rate(t, y, u).value, abs=1e-12)
                     assert value == pytest.approx(direct, abs=1e-12)
                 for grad in (model.gradient(i, y), smooth_grads[i]):
@@ -238,4 +238,4 @@ def test_smoothed_is_finite_past_the_boundary():
     assert np.all(np.isfinite(vals))
     assert np.all(np.isfinite(grads))
     # exact value there is -inf
-    assert model.robust_value(np.array([5.0])) == -math.inf
+    assert model.robust(np.array([5.0]))[0] == -math.inf
