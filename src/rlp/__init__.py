@@ -57,7 +57,6 @@ from .model_io import (
 from .optimizer import (
     SaddleCertificate,
     Solution,
-    certificate_at,
     find_saddle,
     maximize_robust,
     problem_value,
@@ -102,7 +101,6 @@ __all__ = [
     "UtilitySpec",
     "bounding_box",
     "canonical_json",
-    "certificate_at",
     "characteristics_bound",
     "closed_form_expected_utility",
     "compile_box_to_vertices",

@@ -33,7 +33,6 @@ from .growth import worst_case_growth
 from .model_io import ProblemSpec, Report, emit_report, load_model
 from .optimizer import (
     SaddleCertificate,
-    certificate_at,
     find_saddle,
     maximize_robust,
     problem_value,
@@ -100,14 +99,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _solution_results(spec: ProblemSpec, tol: float) -> dict:
     solution = maximize_robust(spec.theta, spec.feasible, spec.utility)
     value = problem_value(solution.robust_g, spec.utility, spec.x0, spec.horizon)
-    certificate = certificate_at(spec.theta, spec.feasible, spec.utility, solution.y_hat, tol)
     return {
         "y_hat": [float(v) for v in solution.y_hat],
         "robust_g": float(solution.robust_g),
         "value": float(value),
         "worst_vertex": solution.worst_vertex,
-        "gap": float(certificate.gap),
-        "certified": certificate.passes(tol),
+        "gap": float(solution.certificate.gap),
+        "certified": solution.certificate.passes(tol),
         "diagnostics": solution.diagnostics,
     }
 

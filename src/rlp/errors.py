@@ -56,7 +56,7 @@ class NotCompactError(RlpError):
 
 
 class SaddleNotCertifiedError(RlpError):
-    """The stationarity mixture did not pass the saddle residual checks.
+    """The robust solve's certificate did not pass the saddle residual checks.
 
     That uncertified candidate is attached as ``certificate``.
     """

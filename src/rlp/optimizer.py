@@ -3,14 +3,12 @@
 The solver maximizes the worst-case growth rate (a concave function of the
 strategy) over the compact intersection of the user constraints with the
 no-bankruptcy halfspaces. It takes no tuning parameters: every dimension
-runs one smooth epigraph solve (SLSQP) on that polytope itself.
-:func:`certificate_at` certifies a strategy, and every answer, ``solve``'s
-included, carries its certificate. The saddle's mixture on the uncertainty
-simplex and its face multipliers come from a nonnegative least-squares fit
-of the stationarity condition at the strategy. Concavity turns them into an
-upper bound on the game value by arithmetic alone (:func:`_bracket`); with
-the worst vertex value at the strategy as the lower bound, the bracket
-certifies the pair.
+runs one smooth epigraph solve (SLSQP) on that polytope itself, and every
+answer, ``solve``'s included, carries its certificate from that solve. The
+saddle's mixture on the uncertainty simplex and its face multipliers are the
+solve's own KKT multipliers. Concavity turns them into an upper bound on the
+game value by arithmetic alone (:func:`_bracket`); with the worst vertex
+value at the strategy as the lower bound, the bracket certifies the pair.
 """
 
 from __future__ import annotations
@@ -28,11 +26,13 @@ from .levy import Polyhedron, UncertaintySet, UtilitySpec
 @dataclass(frozen=True, eq=False)
 class Solution:
     """Robust maximizer, its worst-case growth rate, the index of the vertex
-    attaining it (first on ties), and solve diagnostics."""
+    attaining it (first on ties), the saddle certificate read from the same
+    solve, and solve diagnostics."""
 
     y_hat: np.ndarray
     robust_g: float
     worst_vertex: int
+    certificate: SaddleCertificate
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -184,17 +184,19 @@ def _slsqp_max(model: GrowthModel, region: FeasibleRegion,
 
 def maximize_robust(theta: UncertaintySet, feasible: Polyhedron,
                     utility: UtilitySpec) -> Solution:
-    """Maximize the worst-case growth rate over the feasible polytope.
+    """Maximize the worst-case growth rate over the feasible polytope, and
+    certify the answer from the same solve.
 
     One smooth epigraph solve (SLSQP) runs from the origin on the feasible
     polytope itself, in every dimension; its no-bankruptcy faces hold every
     jump factor 1 + z . y at 0 or more, and the jump terms are continued
     linearly below the jump factor SINGULARITY_TOL, where gradients are
-    refused. The diagnostics record the SLSQP status, its iteration count and
-    the smallest jump factor at the answer (inf without atoms); a nonzero
-    status is not an error, as the certificate (:func:`certificate_at`)
-    judges the answer. Raises NotCompactError when the feasible set is
-    unbounded.
+    refused. The solve's KKT multipliers are the saddle's mixture and face
+    multipliers (:func:`_kkt_weights`), which :func:`_bracket` turns into the
+    answer's certificate. The diagnostics record the SLSQP status, its
+    iteration count and the smallest jump factor at the answer (inf without
+    atoms); a nonzero status is not an error, as the certificate judges the
+    answer. Raises NotCompactError when the feasible set is unbounded.
     """
     model = GrowthModel(theta, utility)
     if not feasible.compact:
@@ -208,51 +210,36 @@ def maximize_robust(theta: UncertaintySet, feasible: Polyhedron,
     if value <= 0.0:
         # The zero strategy is always feasible here and earns exactly 0 at every vertex.
         y, value, worst = np.zeros(d), 0.0, 0
-    return Solution(y_hat=y, robust_g=value, worst_vertex=worst, diagnostics=diagnostics)
+    weights, multipliers = _kkt_weights(res.multipliers, model.k, feasible.m, worst)
+    gvals = model.vertex_values(y)
+    support = weights > 0.0
+    mixed = float(weights[support] @ gvals[support])
+    upper, lower = _bracket(model, feasible, y, weights, multipliers)
+    certificate = SaddleCertificate(y, weights, multipliers, mixed,
+                                    *_residuals(mixed, upper, lower))
+    return Solution(y_hat=y, robust_g=value, worst_vertex=worst, certificate=certificate,
+                    diagnostics=diagnostics)
 
 
-def _stationarity_weights(model: GrowthModel, poly: Polyhedron, y: np.ndarray,
-                          gvals: np.ndarray, atol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares search for an active-vertex mixture whose gradient lies in
-    the normal cone of the active faces.
+def _kkt_weights(kkt: np.ndarray, k: int, m: int, worst: int) -> tuple[np.ndarray, np.ndarray]:
+    """The mixture and the face multipliers from the epigraph solve's KKT
+    multipliers, one per constraint row: the k vertex rows G_j(y) >= t, then
+    the m faces N y <= o.
 
-    Nonnegative least squares (Lawson-Hanson) fits the mixture weights w and
-    face multipliers lam to G^T w - N^T lam = 0, with one extra row
-    rho * sum(w) = rho, rho = 1 + max |G|, that holds the weights near the
-    simplex; both are then divided by sum(w). Returns the mixture and the
-    face multipliers (one per row of poly, zero on the inactive rows).
+    Stationarity in t makes the vertex rows sum to 1 and stationarity in y
+    puts the mixture's gradient in the normal cone of the active faces, so
+    both are clipped at 0 and divided by the vertex rows' sum. Multipliers
+    that are not finite, or vertex rows that sum to 0, give the worst vertex
+    alone with zero face multipliers.
     """
-    k = model.k
-    gmin = float(np.min(gvals))
-    fallback = np.zeros(k)
-    fallback[int(np.argmin(gvals))] = 1.0
-    multipliers = np.zeros(poly.m)
-    if not math.isfinite(gmin):
-        return fallback, multipliers
-    active_v = np.flatnonzero(gvals <= gmin + atol)
-    try:
-        grads = np.array([model.gradient(i, y) for i in active_v])
-    except AtSingularityError:
-        return fallback, multipliers
-    slack = poly.offsets - poly.normals @ y
-    active_f = np.flatnonzero(np.abs(slack) <= 1e-8 * (1.0 + np.abs(poly.offsets)))
-    na = len(active_v)
-    system = np.hstack([grads.T, -poly.normals[active_f].T])
-    rho = 1.0 + float(np.max(np.abs(grads)))
-    simplex_row = np.concatenate([np.full(na, rho), np.zeros(len(active_f))])
-    target = np.append(np.zeros(model.d), rho)
-    try:
-        x, _ = nnls(np.vstack([system, simplex_row]), target)
-    except (ValueError, RuntimeError):  # a non-finite gradient, or no convergence
-        return fallback, multipliers
-    total = float(x[:na].sum())
-    if not total > 0.0:
-        return fallback, multipliers
-    x /= total
-    weights = np.zeros(k)
-    weights[active_v] = x[:na]
-    multipliers[active_f] = x[na:]
-    return weights, multipliers
+    kkt = np.maximum(np.asarray(kkt, dtype=float), 0.0)
+    total = float(kkt[:k].sum())
+    if not (np.all(np.isfinite(kkt)) and total > 0.0):
+        weights = np.zeros(k)
+        weights[worst] = 1.0
+        return weights, np.zeros(m)
+    kkt /= total
+    return kkt[:k], kkt[k:]
 
 
 def _bracket(model: GrowthModel, feasible: Polyhedron, y, weights,
@@ -309,44 +296,17 @@ def _residuals(value: float, upper: float, lower: float) -> tuple[float, float, 
     return upper - value, value - lower, upper - lower
 
 
-def certificate_at(theta: UncertaintySet, feasible: Polyhedron, utility: UtilitySpec,
-                   y: np.ndarray, tol: float) -> SaddleCertificate:
-    """The saddle certificate of strategy y at tolerance tol.
-
-    The mixture and the face multipliers are the least-squares stationarity
-    fit at y (:func:`_stationarity_weights`): the mixture's gradient lies in,
-    or as near as the fit gets to, the normal cone of the polytope there.
-    Vertices count as active within a quarter of tol, but never closer than
-    the solver's 1e-9 resolution (both relative to the worst value).
-    :func:`_bracket` bounds the game value from above and below; the
-    residuals are the distances of the mixture's value from the two bounds,
-    and the gap is the bracket's width (:func:`_residuals`). The certificate
-    passes at tol when all three are within it.
-    """
-    model = GrowthModel(theta, utility)
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    gvals = model.vertex_values(y)
-    gmin = float(np.min(gvals))
-    weights, multipliers = _stationarity_weights(
-        model, feasible, y, gvals, atol=max(0.25 * tol, 1e-9) * (1.0 + abs(gmin)))
-    support = weights > 0.0
-    value = float(weights[support] @ gvals[support])
-    upper, lower = _bracket(model, feasible, y, weights, multipliers)
-    return SaddleCertificate(y, weights, multipliers, value, *_residuals(value, upper, lower))
-
-
 def find_saddle(theta: UncertaintySet, feasible: Polyhedron, utility: UtilitySpec,
                 certify_tol: float = 1e-7) -> SaddleCertificate:
-    """Solve for the strategy (:func:`maximize_robust`) and certify it
-    (:func:`certificate_at`) at certify_tol; an uncertified candidate is
-    raised with SaddleNotCertifiedError.
+    """The certificate of the robust solve (:func:`maximize_robust`) when it
+    passes at certify_tol; an uncertified candidate is raised with
+    SaddleNotCertifiedError.
     """
-    solution = maximize_robust(theta, feasible, utility)
-    certificate = certificate_at(theta, feasible, utility, solution.y_hat, certify_tol)
+    certificate = maximize_robust(theta, feasible, utility).certificate
     if certificate.passes(certify_tol):
         return certificate
     raise SaddleNotCertifiedError(
-        "the stationarity mixture's residuals exceed the tolerance", certificate=certificate)
+        "the solve's certificate exceeds the tolerance", certificate=certificate)
 
 
 def verify_saddle(theta: UncertaintySet, feasible: Polyhedron, utility: UtilitySpec,

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import rlp.simulator
-from rlp import certificate_at, load_model
+from rlp import load_model, maximize_robust
 from rlp.cli import main
 
 from helpers_oracle import martingale_check
@@ -481,8 +481,8 @@ def test_solve_reports_its_certificate_in_two_dimensions(capsys, tmp_path):
     assert status == 0
     results = report["results"]
     spec = load_model(path)
-    certificate = certificate_at(spec.theta, spec.feasible, spec.utility,
-                                 np.array(results["y_hat"]), 1e-7)
+    certificate = maximize_robust(spec.theta, spec.feasible, spec.utility).certificate
+    assert results["y_hat"] == certificate.y_hat.tolist()
     assert results["gap"] == certificate.gap
     assert results["certified"] is True
     status, report = run_json(capsys, ["simulate", "--model", path, "--paths", "500",

@@ -23,7 +23,6 @@ from rlp import (
     SaddleNotCertifiedError,
     UncertaintySet,
     UtilitySpec,
-    certificate_at,
     compile_box_to_vertices,
     effective_domain,
     find_saddle,
@@ -32,7 +31,7 @@ from rlp import (
     problem_value,
     verify_saddle,
 )
-from rlp.optimizer import FeasibleRegion, _stationarity_weights
+from rlp.optimizer import FeasibleRegion
 
 from helpers_instances import (
     BOX_RADIUS,
@@ -294,8 +293,8 @@ def test_a_two_dimensional_verify_runs_no_lp(monkeypatch):
     cert = find_saddle(theta, feasible, u)
     ok, details = verify_saddle(theta, feasible, u, cert)
     assert ok, details
-    # the bounding box is closed-form and the stationarity mixture is a
-    # least-squares fit, so no LP runs at all
+    # the bounding box is closed-form and the stationarity mixture is the
+    # solve's own KKT multipliers, so no LP runs at all
     assert not hasattr(rlp.optimizer, "linprog")
     assert lp_calls == []
     # find_saddle's one robust solve on the feasible set; both upper
@@ -341,7 +340,7 @@ def test_every_solution_reports_its_certificate():
         solution = maximize_robust(theta, feasible, u)
         diagnostics = solution.diagnostics
         assert diagnostics["method"] == "slsqp-epigraph"
-        assert certificate_at(theta, feasible, u, solution.y_hat, 1e-8).passes(1e-8)
+        assert solution.certificate.passes(1e-8)
         assert set(diagnostics) == {"method", "status", "nit", "min_jump_factor"}
         assert isinstance(diagnostics["status"], int) and diagnostics["nit"] >= 1
         assert 0.0 < diagnostics["min_jump_factor"] <= math.inf
@@ -486,24 +485,43 @@ def test_dual_bound_dominates_best_responses_and_grows_with_the_multipliers():
             assert moved["checks"]["max_y"] >= bound
 
 
+def moved_candidate(theta, utility, cert, y):
+    """The solved certificate's mixture and face multipliers, moved to strategy
+    y, with the mixture's value there."""
+    y = np.asarray(y, dtype=float)
+    support = cert.theta_hat_weights > 0.0
+    gvals = GrowthModel(theta, utility).vertex_values(y)
+    value = float(cert.theta_hat_weights[support] @ gvals[support])
+    return SaddleCertificate(
+        y_hat=y, theta_hat_weights=cert.theta_hat_weights,
+        face_multipliers=cert.face_multipliers, value=value,
+        residual_max_y=0.0, residual_min_theta=0.0, gap=0.0)
+
+
 def test_certificate_at_separates_optimum_from_rest():
+    # the solved mixture closes the bracket at the exact optimum y = 2, and
+    # leaves it wide open at y = 1
     theta, feasible = corner_box_instance()
-    assert certificate_at(theta, feasible, LOG, np.array([2.0]), 1e-9).passes(1e-9)
-    off = certificate_at(theta, feasible, LOG, np.array([1.0]), 1e-9)
-    assert off.gap > 1e-3 and not off.passes(1e-3)
+    cert = maximize_robust(theta, feasible, LOG).certificate
+    ok, details = verify_saddle(theta, feasible, LOG, moved_candidate(theta, LOG, cert, [2.0]),
+                                tol=1e-9)
+    assert ok, details
+    ok, details = verify_saddle(theta, feasible, LOG, moved_candidate(theta, LOG, cert, [1.0]),
+                                tol=1e-3)
+    assert details["residuals"]["gap"] > 1e-3 and not ok
 
 
 def test_certificate_at_is_infinite_past_the_bankruptcy_boundary():
     # a short position of 1.5 goes bankrupt at the box model's +1 jump, so the
-    # value is -inf and no residual may come out NaN, nor the recheck's
+    # value is -inf and no residual of the recheck may come out NaN
     spec = load_model(str(TWO_ASSET.parent / "box_log_jump.json"))
-    cert = certificate_at(spec.theta, spec.feasible, spec.utility, np.array([-1.5]), 1e-6)
-    assert cert.value == -math.inf
-    assert cert.residual_max_y == cert.residual_min_theta == cert.gap == math.inf
-    assert not cert.passes(1e-6)
-    ok, details = verify_saddle(spec.theta, spec.feasible, spec.utility, cert)
+    cert = maximize_robust(spec.theta, spec.feasible, spec.utility).certificate
+    candidate = moved_candidate(spec.theta, spec.utility, cert, [-1.5])
+    assert candidate.value == -math.inf
+    ok, details = verify_saddle(spec.theta, spec.feasible, spec.utility, candidate)
     assert not ok
     assert details["residuals"] == {"max_y": math.inf, "min_theta": math.inf, "gap": math.inf}
+    assert not any(math.isnan(v) for v in details["checks"].values())
 
 
 def random_polytope_game(rng: np.random.Generator, pooled: bool = False):
@@ -544,7 +562,7 @@ def test_an_optimum_between_the_last_two_shrink_levels_certifies():
     theta, feasible, u = random_polytope_game(np.random.default_rng(1589), pooled=True)
     solution = maximize_robust(theta, feasible, u)
     assert 1.0 / 1024 < solution.diagnostics["min_jump_factor"] < 1.0 / 256
-    assert certificate_at(theta, feasible, u, solution.y_hat, 1e-6).passes(1e-6)
+    assert solution.certificate.passes(1e-6)
 
 
 @seed(20261019)
@@ -560,7 +578,7 @@ def test_a_passing_certificate_is_never_beaten(case_seed):
         rng = np.random.default_rng(case_seed)
         theta, feasible, u = random_polytope_game(rng, pooled)
         solution = maximize_robust(theta, feasible, u)
-        cert = certificate_at(theta, feasible, u, solution.y_hat, 1e-6)
+        cert = solution.certificate
         fields = (cert.y_hat, cert.theta_hat_weights, cert.face_multipliers, cert.value,
                   cert.residual_max_y, cert.residual_min_theta, cert.gap)
         assert not any(np.any(np.isnan(f)) for f in fields)
@@ -579,14 +597,14 @@ def test_stationarity_mixture_at_a_one_dimensional_kink():
     # opposite signs; the mixture that levels them is unique
     theta = UncertaintySet((one_asset(0.02, 0.001), one_asset(0.06, 0.03)))
     feasible, _ = effective_domain(Polyhedron.box([(0.0, 5.0)]), theta)
+    cert = maximize_robust(theta, feasible, LOG).certificate
+    np.testing.assert_allclose(cert.y_hat, [0.04 / 0.0145], rtol=1e-9)
     model = GrowthModel(theta, LOG)
-    y = np.array([0.04 / 0.0145])
-    g1, g2 = (float(model.gradient(i, y)[0]) for i in range(2))
+    g1, g2 = (float(model.gradient(i, cert.y_hat)[0]) for i in range(2))
     assert g1 > 0.0 > g2
-    weights, multipliers = _stationarity_weights(
-        model, feasible, y, model.vertex_values(y), atol=1e-9)
+    weights = cert.theta_hat_weights
     np.testing.assert_allclose(weights, np.array([-g2, g1]) / (g1 - g2), rtol=0, atol=1e-12)
-    assert np.all(multipliers == 0.0)
+    assert np.all(cert.face_multipliers == 0.0)
     assert abs(weights @ [g1, g2]) <= 1e-15
 
 
@@ -595,16 +613,40 @@ def test_stationarity_multiplier_at_an_active_endpoint():
     # is the slope over the endpoint's normal
     theta = UncertaintySet((one_asset(0.1, 0.01),))
     feasible, _ = effective_domain(Polyhedron.box([(0.0, 1.0)]), theta)
+    cert = maximize_robust(theta, feasible, LOG).certificate
+    y, multipliers = cert.y_hat, cert.face_multipliers
+    assert y.tolist() == [1.0]
+    assert cert.theta_hat_weights.tolist() == [1.0]
     model = GrowthModel(theta, LOG)
-    y = np.array([1.0])
-    weights, multipliers = _stationarity_weights(
-        model, feasible, y, model.vertex_values(y), atol=1e-9)
-    assert weights.tolist() == [1.0]
     upper = np.flatnonzero(feasible.normals[:, 0] > 0.0)
     np.testing.assert_allclose(multipliers[upper] * feasible.normals[upper, 0],
                                model.gradient(0, y), rtol=0, atol=1e-12)
     residual = model.gradient(0, y) - feasible.normals.T @ multipliers
     assert np.max(np.abs(residual)) <= 1e-15
+
+
+def test_unusable_solve_multipliers_fall_back_to_the_worst_vertex(monkeypatch):
+    # NaN multipliers, or vertex rows that sum to 0, leave the certificate
+    # on the worst vertex alone with zero face multipliers; at an interior
+    # optimum of one vertex that is the exact saddle
+    import rlp.optimizer
+
+    theta = UncertaintySet((one_asset(0.06, 0.03),))
+    feasible, _ = effective_domain(Polyhedron.box([(0.0, 5.0)]), theta)
+    for fill in (math.nan, 0.0):
+        def broken(*args, _minimize=rlp.optimizer.minimize, **kwargs):
+            res = _minimize(*args, **kwargs)
+            res.multipliers = np.full_like(res.multipliers, fill)
+            return res
+
+        monkeypatch.setattr(rlp.optimizer, "minimize", broken)
+        cert = maximize_robust(theta, feasible, LOG).certificate
+        assert cert.theta_hat_weights.tolist() == [1.0]
+        assert np.all(cert.face_multipliers == 0.0)
+        fields = (cert.y_hat, cert.theta_hat_weights, cert.face_multipliers, cert.value,
+                  cert.residual_max_y, cert.residual_min_theta, cert.gap)
+        assert not any(np.any(np.isnan(f)) for f in fields)
+        assert cert.passes(1e-7)
 
 
 def test_mixture_min_finds_the_interior_mixture():
