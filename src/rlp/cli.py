@@ -64,35 +64,38 @@ def _checked(convert, accept, expected: str):
     return parse
 
 
+# The optional flags besides --model, --format and --out, each registered
+# only on the subcommands whose handler reads it (see COMMANDS).
+_FLAGS = {
+    "--pi": dict(type=_checked(lambda t: [float(v) for v in t.split(",")],
+                               lambda pi: all(map(math.isfinite, pi)),
+                               "comma-separated finite floats"),
+                 metavar="FLOATS", help="fixed strategy (comma-separated); default: solve first"),
+    "--paths": dict(type=_checked(int, lambda n: n >= 1, "an integer >= 1"), metavar="N",
+                    help="Monte Carlo path count (default from the model)"),
+    "--seed": dict(type=_checked(int, lambda s: 0 <= s < 2 ** 64, "an integer in [0, 2**64)"),
+                   metavar="S", help="simulation seed (default from the model)"),
+    "--tol": dict(type=_checked(float, lambda x: 0.0 < x < math.inf, "a positive finite number"),
+                  default=1e-6, metavar="X",
+                  help="certification or recheck tolerance (default 1e-6)"),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process."""
     parser = _Parser(prog="rlp", description="Robust constant-proportion "
                      "portfolios under model uncertainty.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name, (help_text, _) in COMMANDS.items():
+    for name, (help_text, _, flags) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--model", required=True, help="path to the JSON model file")
-        p.add_argument("--pi", type=_checked(lambda t: [float(v) for v in t.split(",")],
-                                             lambda pi: all(map(math.isfinite, pi)),
-                                             "comma-separated finite floats"),
-                       default=None, metavar="FLOATS",
-                       help="fixed strategy (comma-separated); default: solve first")
-        p.add_argument("--paths", type=_checked(int, lambda n: n >= 1, "an integer >= 1"),
-                       default=None, metavar="N",
-                       help="Monte Carlo path count (default from the model)")
-        p.add_argument("--seed", type=_checked(int, lambda s: 0 <= s < 2 ** 64,
-                                               "an integer in [0, 2**64)"),
-                       default=None, metavar="S",
-                       help="simulation seed (default from the model)")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
         p.add_argument("--format", choices=("json", "csv"), default="json",
                        help="report format (default json)")
         p.add_argument("--out", default=None, metavar="PATH",
                        help="write the report here instead of stdout")
-        p.add_argument("--tol", type=_checked(float, lambda x: 0.0 < x < math.inf,
-                                              "a positive finite number"),
-                       default=1e-6, metavar="X",
-                       help="certification or recheck tolerance (default 1e-6)")
     return parser
 
 
@@ -262,13 +265,16 @@ def _cmd_verify(spec: ProblemSpec, flags: argparse.Namespace) -> tuple[dict, int
     return results, 0 if passed else 2, provenance
 
 
-# Each subcommand's help line and handler, in the order the usage lists them.
+# Each subcommand's help line, handler and the flags that handler reads, in
+# the order the usage lists them.
 COMMANDS = {
-    "validate": ("check a model file and report kappa and compactness", _cmd_validate),
-    "solve": ("maximize the worst-case growth rate", _cmd_solve),
-    "saddle": ("solve and certify a saddle point", _cmd_saddle),
-    "simulate": ("Monte Carlo expected utility against the closed form", _cmd_simulate),
-    "verify": ("run every oracle check at the solved saddle", _cmd_verify),
+    "validate": ("check a model file and report kappa and compactness", _cmd_validate, ()),
+    "solve": ("maximize the worst-case growth rate", _cmd_solve, ("--tol",)),
+    "saddle": ("solve and certify a saddle point", _cmd_saddle, ("--tol",)),
+    "simulate": ("Monte Carlo expected utility against the closed form", _cmd_simulate,
+                 ("--pi", "--paths", "--seed", "--tol")),
+    "verify": ("run every oracle check at the solved saddle", _cmd_verify,
+               ("--paths", "--seed", "--tol")),
 }
 
 

@@ -29,13 +29,7 @@ from .levy import (
     effective_domain,
 )
 
-_TOP_KEYS = {"dimension", "utility", "T", "x0", "C", "Theta", "solver", "simulation"}
-
-# Solver keys of earlier releases, with their defaults. The solver takes no
-# options: each key is still validated and kept in the resolved model (so
-# digests do not change), but none sets anything.
-_SOLVER_DEFAULTS = {"value_tol": 1e-8, "y_tol": 1e-8, "max_iters": 10000, "restarts": 8,
-                    "shrink_schedule": [4, 16, 64, 256, 1024], "seed": 0}
+_TOP_KEYS = {"dimension", "utility", "T", "x0", "C", "Theta", "simulation"}
 
 
 @dataclass(frozen=True)
@@ -277,31 +271,6 @@ def _parse_constraints(obj, dimension: int) -> Polyhedron:
     return poly
 
 
-def _parse_solver(obj) -> dict:
-    """The resolved solver block: every key defaulted and validated, none read."""
-    given = {**_SOLVER_DEFAULTS,
-             **_fields({} if obj is None else obj, "solver", _SOLVER_DEFAULTS)}
-    resolved = {key: _number(given[key], f"solver.{key}") for key in ("value_tol", "y_tol")}
-    resolved.update({key: _integer(given[key], f"solver.{key}")
-                     for key in ("max_iters", "restarts", "seed")})
-    schedule = given["shrink_schedule"]
-    _require(isinstance(schedule, list) and all(
-        isinstance(n, int) and not isinstance(n, bool) for n in schedule),
-        "'solver.shrink_schedule' must be a list of integers")
-    resolved["shrink_schedule"] = list(schedule)
-    if resolved["max_iters"] < 1 or resolved["restarts"] < 1:
-        problem = "max_iters and restarts must be at least 1"
-    elif resolved["value_tol"] <= 0 or resolved["y_tol"] <= 0:
-        problem = "tolerances must be positive"
-    elif not schedule or min(schedule) < 2:
-        problem = "shrink levels must be integers of at least 2"
-    elif any(b <= a for a, b in zip(schedule, schedule[1:])):
-        problem = "shrink levels must be strictly increasing"
-    else:
-        return resolved
-    raise ModelError(f"invalid solver options: {problem}")
-
-
 def _parse_simulation(obj) -> SimulationOptions:
     obj = _fields({} if obj is None else obj, "simulation", ("n_paths", "seed"))
     try:
@@ -313,7 +282,7 @@ def _parse_simulation(obj) -> SimulationOptions:
 
 def _resolved_dict(dimension: int, utility: UtilitySpec, horizon: float, x0: float,
                    constraints: Polyhedron, theta: UncertaintySet,
-                   solver: dict, simulation: SimulationOptions) -> dict:
+                   simulation: SimulationOptions) -> dict:
     return {
         "dimension": dimension,
         "utility": {"kind": utility.kind, "p": utility.p, "epsilon": utility.epsilon},
@@ -326,7 +295,6 @@ def _resolved_dict(dimension: int, utility: UtilitySpec, horizon: float, x0: flo
              "jumps": {"atoms": [{"rate": r, "location": z} for r, z in
                                  zip(v.jumps.rates.tolist(), v.jumps.locations.tolist())]}}
             for v in theta.vertices]},
-        "solver": solver,
         "simulation": {"n_paths": simulation.n_paths, "seed": simulation.seed},
     }
 
@@ -336,7 +304,7 @@ def load_model(path: str) -> ProblemSpec:
 
     A vertex list is parsed in one pass straight into stacked arrays, and
     :meth:`UncertaintySet.stacked` clamps and checks every vertex of Theta at
-    once while Theta is parsed, before C, solver and simulation: the
+    once while Theta is parsed, before C and simulation: the
     diffusion matrices are decomposed in one batched call, not one per vertex.
 
     Raises ParseError for invalid JSON, SchemaError for structural problems,
@@ -371,7 +339,6 @@ def load_model(path: str) -> ProblemSpec:
         raise ModelError("the initial capital x0 must be positive")
     theta = _parse_theta(raw["Theta"], dimension)
     constraints = _parse_constraints(raw.get("C"), dimension)
-    resolved_solver = _parse_solver(raw.get("solver"))
     simulation = _parse_simulation(raw.get("simulation"))
     feasible, compact = effective_domain(constraints, theta)
     kappa = characteristics_bound(theta, utility)
@@ -381,8 +348,7 @@ def load_model(path: str) -> ProblemSpec:
     if not np.isfinite(kappa):
         raise ModelError("the characteristics bound kappa is not finite")
     discretized = any(v.jumps.approximate for v in theta.vertices)
-    resolved = _resolved_dict(dimension, utility, horizon, x0, constraints, theta,
-                              resolved_solver, simulation)
+    resolved = _resolved_dict(dimension, utility, horizon, x0, constraints, theta, simulation)
     digest = hashlib.sha256(canonical_json(resolved).encode("utf-8")).hexdigest()
     return ProblemSpec(
         dimension=dimension, utility=utility, horizon=horizon, x0=x0,

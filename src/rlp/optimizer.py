@@ -76,15 +76,20 @@ class FeasibleRegion:
 
     def project(self, y: np.ndarray) -> np.ndarray:
         """The point of the polyhedron {x : N x <= o} nearest to y, y itself
-        when inside: the least-distance step min |x| s.t. N (y + x) <= o from
-        one NNLS (Lawson and Hanson, ch. 23) on h = N y - o scaled to max 1.
-        When rounding leaves its point outside, the step is solved again once
-        from that point with every face pulled a relative 1e-12 inward, and
-        when that fails too the origin is returned."""
+        when inside. The polyhedron lies in its bounding box, so y clipped to
+        that box is the answer whenever it is inside. Otherwise: the
+        least-distance step min |x| s.t. N (y + x) <= o from one NNLS (Lawson
+        and Hanson, ch. 23) on h = N y - o scaled to max 1. When rounding
+        leaves its point outside, the step is solved again once from that
+        point with every face pulled a relative 1e-12 inward, and when that
+        fails too the origin is returned."""
         y = np.asarray(y, dtype=float)
         poly = self.poly
         if poly.contains(y):
             return y
+        clipped = np.clip(y, *poly.bounds)
+        if poly.contains(clipped):
+            return clipped
         target = np.eye(self.d + 1)[-1]
         start = y
         for inward in (0.0, 1e-12):

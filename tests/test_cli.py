@@ -415,11 +415,13 @@ def test_the_bundled_long_only_model_keeps_its_maximizer_on_the_face(capsys):
     # closed form: vertex 1 is worst, and on the face y_2 = 0 its growth
     # 0.04 y_1 - 0.025 y_1^2 peaks at y_1 = 0.8 with value 0.016; its gradient
     # there, (0, -0.01), is 0.01 times the normal of -y_2 <= 0. SLSQP ends a
-    # rounding error past that face, which passes through the origin.
+    # rounding error past that face, which passes through the origin, and
+    # the projection clips y_2 back onto it exactly.
     status, report = run_json(capsys, ["solve", "--model", LONG_ONLY])
     assert status == 0
     results = report["results"]
-    assert results["y_hat"] == pytest.approx([0.8, 0.0], abs=1e-7)
+    assert results["y_hat"][0] == pytest.approx(0.8, abs=1e-7)
+    assert results["y_hat"][1] == 0.0
     assert results["robust_g"] == pytest.approx(0.016, abs=1e-9)
     assert results["worst_vertex"] == 1
     status, report = run_json(capsys, ["saddle", "--model", LONG_ONLY])
@@ -492,31 +494,40 @@ def test_solve_reports_its_certificate_in_two_dimensions(capsys, tmp_path):
     assert (solved["gap"], solved["certified"]) == (certificate.gap, True)
 
 
-def solve_with_solver_block(capsys, tmp_path, solver):
-    # the 2-d solve's results without and with the given solver block
-    model = two_asset_model()
-    path = write_model(tmp_path, json.dumps(model))
-    status, default = run_json(capsys, ["solve", "--model", path])
-    assert status == 0
-    model["solver"] = solver
-    path = write_model(tmp_path, json.dumps(model))
-    status, given = run_json(capsys, ["solve", "--model", path])
-    assert status == 0
-    return default["results"], given["results"]
+def test_a_solver_block_exits_1_as_an_unknown_key(capsys, tmp_path):
+    # the solver takes no options, so the keys earlier releases accepted are
+    # refused with the rest of the unknown keys
+    for solver in ({}, {"seed": -3}, {"value_tol": 1e-3, "y_tol": 1e-13,
+                                      "shrink_schedule": [2, 3]}):
+        model = {**two_asset_model(), "solver": solver}
+        status = main(["solve", "--model", write_model(tmp_path, json.dumps(model))])
+        captured = capsys.readouterr()
+        assert (status, captured.err) == (1, "")
+        assert json.loads(captured.out)["results"]["error"] == {
+            "code": "SchemaError", "message": "unknown top-level key 'solver'"}
 
 
-def test_solver_seed_has_no_effect_in_two_dimensions(capsys, tmp_path):
-    default, seeded = solve_with_solver_block(capsys, tmp_path, {"seed": -3})
-    assert seeded == default
-    assert seeded["diagnostics"]["method"] == "slsqp-epigraph"
+# The flags each subcommand reads besides --model, --format and --out, with
+# a value that runs on the box model.
+KEPT_FLAGS = {"validate": (), "solve": ("--tol",), "saddle": ("--tol",),
+              "simulate": ("--pi", "--paths", "--seed", "--tol"),
+              "verify": ("--paths", "--seed", "--tol")}
+FLAG_VALUES = {"--pi": "1.5", "--paths": "2000", "--seed": "3", "--tol": "1e-6"}
 
 
-def test_solver_tolerances_and_schedule_have_no_effect(capsys, tmp_path):
-    # every solver key is validated and digested, and none is read
-    default, tuned = solve_with_solver_block(
-        capsys, tmp_path, {"value_tol": 1e-3, "y_tol": 1e-13, "shrink_schedule": [2, 3]})
-    assert tuned == default
-    assert tuned["diagnostics"]["method"] == "slsqp-epigraph"
+@pytest.mark.parametrize("command, flag", [(command, flag) for command in KEPT_FLAGS
+                                           for flag in FLAG_VALUES])
+def test_each_command_takes_only_the_flags_it_reads(capsys, command, flag):
+    argv = [command, "--model", BOX, flag, FLAG_VALUES[flag]]
+    if flag not in KEPT_FLAGS[command]:
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        captured = capsys.readouterr()
+        assert (excinfo.value.code, captured.out) == (1, "")
+        assert f"unrecognized arguments: {flag}" in captured.err
+        return
+    status, report = run_json(capsys, argv)
+    assert (status, report["command"]) == (0, command)
 
 
 @pytest.mark.parametrize("command", ["saddle", "solve"])

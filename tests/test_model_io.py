@@ -202,17 +202,13 @@ def test_unbounded_problems_are_rejected(tmp_path):
         load_model(write_model(tmp_path, model))
 
 
-def test_inert_solver_keys_are_still_validated(tmp_path):
-    for solver in ({"restarts": 0}, {"max_iters": 0}):
-        with pytest.raises(ModelError, match="at least 1"):
+def test_solver_is_an_unknown_top_level_key(tmp_path):
+    # the solver takes no options, so a solver block, even an empty one, is
+    # refused like any other unknown key
+    for solver in ({}, {"seed": 3}, {"max_iters": 60, "restarts": 1}):
+        with pytest.raises(SchemaError, match="^unknown top-level key 'solver'$"):
             load_model(write_model(tmp_path, minimal_model(solver=solver)))
-    for solver in ({"seed": 1.5}, {"max_iters": True}):
-        with pytest.raises(SchemaError, match="must be an integer"):
-            load_model(write_model(tmp_path, minimal_model(solver=solver)))
-    spec = load_model(write_model(tmp_path, minimal_model(
-        solver={"max_iters": 60, "restarts": 1, "seed": -3})))
-    assert spec.resolved["solver"]["max_iters"] == 60
-    assert spec.resolved["solver"]["seed"] == -3
+    assert "solver" not in load_model(write_model(tmp_path, minimal_model())).resolved
 
 
 def test_scalar_domains(tmp_path):
@@ -452,9 +448,9 @@ def test_loading_decomposes_the_diffusions_in_batches(monkeypatch):
     assert shapes == [("eigh", (16, 4, 4))]
 
 
-def test_a_bad_vertex_is_reported_before_a_bad_solver_block(tmp_path):
+def test_a_bad_vertex_is_reported_before_a_bad_simulation_block(tmp_path):
     model = minimal_model(Theta={"vertices": [{"b": [0.1], "c": [[-1.0]]}]},
-                          solver={"max_iters": 0})
+                          simulation={"n_paths": 0})
     with pytest.raises(ModelError) as info:
         load_model(write_model(tmp_path, model))
     assert str(info.value) == "vertex 0: diffusion matrix is not PSD (min eigenvalue -1.000e+00)"
