@@ -494,17 +494,25 @@ def test_solve_reports_its_certificate_in_two_dimensions(capsys, tmp_path):
     assert (solved["gap"], solved["certified"]) == (certificate.gap, True)
 
 
-def test_a_solver_block_exits_1_as_an_unknown_key(capsys, tmp_path):
+def assert_solver_block_is_refused(capsys, tmp_path, solver):
     # the solver takes no options, so the keys earlier releases accepted are
     # refused with the rest of the unknown keys
-    for solver in ({}, {"seed": -3}, {"value_tol": 1e-3, "y_tol": 1e-13,
-                                      "shrink_schedule": [2, 3]}):
-        model = {**two_asset_model(), "solver": solver}
-        status = main(["solve", "--model", write_model(tmp_path, json.dumps(model))])
-        captured = capsys.readouterr()
-        assert (status, captured.err) == (1, "")
-        assert json.loads(captured.out)["results"]["error"] == {
-            "code": "SchemaError", "message": "unknown top-level key 'solver'"}
+    model = {**two_asset_model(), "solver": solver}
+    status = main(["solve", "--model", write_model(tmp_path, json.dumps(model))])
+    captured = capsys.readouterr()
+    assert (status, captured.err) == (1, "")
+    assert json.loads(captured.out)["results"]["error"] == {
+        "code": "SchemaError", "message": "unknown top-level key 'solver'"}
+
+
+def test_a_solver_seed_block_exits_1_as_an_unknown_key(capsys, tmp_path):
+    for solver in ({}, {"seed": -3}):
+        assert_solver_block_is_refused(capsys, tmp_path, solver)
+
+
+def test_a_solver_tolerance_block_exits_1_as_an_unknown_key(capsys, tmp_path):
+    assert_solver_block_is_refused(
+        capsys, tmp_path, {"value_tol": 1e-3, "y_tol": 1e-13, "shrink_schedule": [2, 3]})
 
 
 # The flags each subcommand reads besides --model, --format and --out, with
