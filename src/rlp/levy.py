@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import nnls
 
 from .errors import (
     InfeasibleError,
@@ -394,10 +394,10 @@ def characteristics_bound(theta: UncertaintySet, utility: UtilitySpec) -> float:
 class Polyhedron:
     """Intersection of halfspaces {y : normal . y <= offset}, one row each.
 
-    ``bounds`` and ``compact`` find the bounding box on first use, in closed
-    form when the single-coordinate rows decide it and by one stacked LP
-    otherwise (see :func:`bounding_box`), and keep the result, so a
-    polyhedron is proved compact at most once.
+    ``bounds`` and ``compact`` find an enclosing box on first use, in closed
+    form or from one NNLS certificate per side (see :func:`bounding_box`),
+    and keep it, so a polyhedron is proved compact at most once. The box
+    need not be tight; +-inf marks a side not proven bounded.
     """
 
     normals: np.ndarray
@@ -463,7 +463,7 @@ class Polyhedron:
 
     @cached_property
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-coordinate bounds from :func:`bounding_box`; +-inf marks open sides."""
+        """Enclosing bounds from :func:`bounding_box`; +-inf marks a side not proven bounded."""
         lo, hi = bounding_box(self)
         return _readonly(lo), _readonly(hi)
 
@@ -497,18 +497,18 @@ def natural_constraints(theta: UncertaintySet, n: int | None = None) -> Polyhedr
 
 
 def bounding_box(poly: Polyhedron) -> tuple[np.ndarray, np.ndarray]:
-    """Per-coordinate bounds of the polyhedron; +-inf marks unbounded sides.
+    """Per-coordinate bounds that enclose the polyhedron, not always tightly;
+    +-inf marks a side not proven bounded.
 
-    Rows with exactly one nonzero coefficient a bound their coordinate at
-    offset / a and cut out a box B, whose sides may be infinite. When every
-    other row holds on all of B (its largest value over B, summed over its
-    nonzero coefficients only, stays within its offset), B is the polyhedron
-    itself and is returned in closed form; this covers every one-dimensional
-    polyhedron. Otherwise the 2 d side problems (minimise, then maximise,
-    each coordinate) run as one LP over 2 d independent copies of the
-    variables. It separates, so each copy sits at its own side's optimum.
-    When that LP is unbounded, the sides are solved one at a time to tell
-    which ones are open. Raises InfeasibleError when the polyhedron is empty.
+    Rows with one nonzero coefficient a bound their coordinate at offset / a
+    and cut out a box B, returned when it is finite or no row has two nonzero
+    coefficients. Otherwise one NNLS (Lawson and Hanson, ch. 23) per side
+    s = +-e_i on the nonzero rows, scaled to max |entry| 1, finds lam >= 0
+    with rho = s - N^T lam small (Farkas): every feasible x has s . x <=
+    lam . o + |rho|_1 |x|_inf. If every |rho|_1 < 1, |x|_inf <= R = max_s
+    min(lam_s . o, B_s) / (1 - max_s |rho_s|_1) cuts B to lam . o + |rho|_1 R;
+    a recession direction keeps some |rho|_1 >= 1. Raises InfeasibleError
+    when axis rows cross, a zero row has a negative offset, or the cut crosses.
     """
     d = poly.dimension
     lo, hi = np.full(d, -np.inf), np.full(d, np.inf)
@@ -516,38 +516,35 @@ def bounding_box(poly: Polyhedron) -> tuple[np.ndarray, np.ndarray]:
         return lo, hi
     normals, offsets = poly.normals, poly.offsets
     touches = normals != 0.0
-    axis = np.count_nonzero(touches, axis=1) == 1
+    count = np.count_nonzero(touches, axis=1)
+    axis = count == 1
     coord = np.argmax(touches[axis], axis=1)
     coef = normals[axis][np.arange(len(coord)), coord]
     cut = offsets[axis] / coef
     np.maximum.at(lo, coord[coef < 0.0], cut[coef < 0.0])
     np.minimum.at(hi, coord[coef > 0.0], cut[coef > 0.0])
-    if np.any(lo > hi):
+    if np.any(np.isinf(hi - lo)) and np.all(lo <= hi) and np.any(count > 1):
+        rows, offs = normals[count > 0], offsets[count > 0]
+        peak = np.max(np.abs(rows), axis=1)
+        sides = np.vstack([np.eye(d), -np.eye(d)])  # bounds on x_i, then on -x_i
+        lam = np.maximum([nnls((rows / peak[:, None]).T, side)[0] for side in sides], 0.0)
+        lam /= peak
+        # a computed sum is off by at most gamma_k times its terms' magnitude, k <= m + d + 1
+        # (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1); 8 (k + 1) u
+        # covers that and the magnitude's rounding, 2^-1022 (or rho's 1) underflow, and
+        # nextafter the last sum's rounding
+        grain = (len(offs) + d + 2) * 2.0 ** -50
+        room = np.nextafter(lam @ offs + (grain * (lam @ np.abs(offs)) + 2.0 ** -1022), np.inf)
+        rho = np.abs(sides - lam @ rows).sum(axis=1)
+        rho = np.nextafter(rho + grain * (rho + 1.0 + lam @ np.abs(rows).sum(axis=1)), np.inf)
+        widest = np.maximum(np.max(np.minimum(room, np.concatenate([hi, -lo]))), 0.0)
+        shrink = np.nextafter(1.0 - np.max(rho), 0.0)
+        radius = np.nextafter(widest / shrink, np.inf) if shrink > 0.0 else np.inf
+        side = np.nextafter(room + np.nextafter(rho * radius, np.inf), np.inf)
+        lo, hi = np.fmax(lo, -side[d:]), np.fmin(hi, side[:d])
+    if np.any(lo > hi) or np.any(offsets[count == 0] < 0.0):
         raise InfeasibleError("constraint polyhedron is empty")
-    with np.errstate(invalid="ignore"):  # 0 * inf on rows that miss an open side
-        reach = np.where(touches, normals * np.where(normals > 0.0, hi, lo), 0.0)
-    if np.all(reach[~axis].sum(axis=1) <= offsets[~axis]):
-        return lo, hi
-    # side j bounds coordinate j % d from below (j < d) or from above
-    ends = np.concatenate([np.full(d, -np.inf), np.full(d, np.inf)])
-    batches = [np.arange(2 * d)]
-    for sides in batches:
-        n = len(sides)
-        coords = sides % d
-        cost = np.zeros((n, d))
-        cost[np.arange(n), coords] = np.where(sides < d, 1.0, -1.0)
-        res = linprog(cost.ravel(), A_ub=np.kron(np.eye(n), poly.normals),
-                      b_ub=np.tile(poly.offsets, n), bounds=(None, None), method="highs")
-        if res.status == 2:
-            raise InfeasibleError("constraint polyhedron is empty")
-        if res.status == 3:
-            if n > 1:
-                batches.extend(sides[[j]] for j in range(n))
-            continue
-        if res.status != 0:
-            raise RuntimeError(f"boundedness LP failed with status {res.status}")
-        ends[sides] = res.x.reshape(n, d)[np.arange(n), coords]
-    return ends[:d], ends[d:]
+    return lo, hi
 
 
 def effective_domain(constraints: Polyhedron, theta: UncertaintySet) -> tuple[Polyhedron, bool]:
@@ -556,8 +553,8 @@ def effective_domain(constraints: Polyhedron, theta: UncertaintySet) -> tuple[Po
     Returns the merged polyhedron and its ``compact`` flag, whose bounding
     box (see :func:`bounding_box`) stays cached on that polyhedron. Raises
     OriginExcludedError when the zero strategy is not allowed (some
-    constraint offset is negative) and InfeasibleError when the intersection
-    is empty.
+    constraint offset is negative); otherwise the intersection holds the
+    origin, so it is never empty.
     """
     if constraints.dimension != theta.dimension:
         raise ValueError("constraint dimension does not match the uncertainty set")

@@ -580,3 +580,44 @@ def test_the_bundled_market_neutral_model_solves_on_its_face(capsys):
     status, report = run_json(capsys, ["saddle", "--model", MARKET_NEUTRAL])
     assert status == 0
     assert report["results"]["certified"] is True
+
+
+def simplex_model(halfspaces) -> dict:
+    # long-only and fully invested: only the row y_1 + y_2 <= 1 bounds the
+    # box above, so compactness needs a certificate
+    return {"dimension": 2, "utility": {"kind": "log"}, "T": 1, "x0": 1,
+            "C": {"box": [[0, None], [0, None]], "halfspaces": halfspaces},
+            "Theta": {"vertices": [
+                {"b": [0.08, 0.06], "c": [[0.04, 0.01], [0.01, 0.09]]},
+                {"b": [0.06, 0.07], "c": [[0.05, 0.0], [0.0, 0.06]]}]}}
+
+
+@pytest.mark.parametrize("halfspaces", [
+    [{"normal": [1, 1], "offset": 1}],
+    # a row of zeros holds everywhere and bounds nothing
+    [{"normal": [0, 0], "offset": 0.5}, {"normal": [1, 1], "offset": 1}],
+], ids=["simplex", "zero-row"])
+def test_a_simplex_model_is_proved_compact_and_certifies(capsys, tmp_path, halfspaces):
+    path = write_model(tmp_path, json.dumps(simplex_model(halfspaces)))
+    status, report = run_json(capsys, ["validate", "--model", path])
+    assert status == 0
+    assert report["results"]["compact"] is True
+    status, report = run_json(capsys, ["saddle", "--model", path])
+    assert status == 0
+    results = report["results"]
+    assert results["certified"] is True
+    # both vertices bind on the face y_1 + y_2 = 1
+    assert results["y_hat"] == pytest.approx([0.5, 0.5], abs=1e-9)
+    assert results["value"] == pytest.approx(0.05125, abs=1e-12)
+    assert len(results["face_multipliers"]) == 2 + len(halfspaces)
+
+
+def test_a_wedge_is_not_compact(capsys, tmp_path):
+    model = simplex_model([{"normal": [1, -1], "offset": 0}, {"normal": [-1, -1], "offset": 0}])
+    del model["C"]["box"]
+    path = write_model(tmp_path, json.dumps(model))
+    status, report = run_json(capsys, ["validate", "--model", path])
+    assert status == 1
+    error = report["results"]["error"]
+    assert error["code"] == "ModelError"
+    assert "not compact" in error["message"]

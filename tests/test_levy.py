@@ -315,10 +315,11 @@ def per_side_box(poly):
 @st.composite
 def shaped_halfspaces(draw):
     """(shape, polyhedron, coordinate): a box on every coordinate with one side
-    open, a strip on one coordinate, an empty set, or a bounded box, each
-    with extra rows that keep that shape."""
+    open, a strip on one coordinate, an empty set, a bounded box, or a
+    simplex (lower bounds and one positive row, so that only certificates
+    bound it above), each with extra rows that keep that shape."""
     d = draw(st.integers(1, 4))
-    shape = draw(st.sampled_from(["bounded", "open_side", "strip", "empty"]))
+    shape = draw(st.sampled_from(["bounded", "open_side", "strip", "empty", "simplex"]))
     k = draw(st.integers(0, d - 1))
     radius = draw(st.lists(st.integers(1, 3), min_size=d, max_size=d))
     normals, offsets = [], []
@@ -332,6 +333,10 @@ def shaped_halfspaces(draw):
     if shape == "empty":
         normals.append(np.eye(d)[k])
         offsets.append(-radius[k] - 1)
+    if shape == "simplex":
+        del normals[::2], offsets[::2]
+        normals.append(np.array(draw(st.lists(st.integers(1, 3), min_size=d, max_size=d)), float))
+        offsets.append(draw(st.integers(0, 4)))
     for _ in range(draw(st.integers(0, 4))):
         row = np.array(draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d)), float)
         if shape == "open_side":
@@ -356,8 +361,8 @@ def test_bounding_box_matches_the_per_side_lps(case):
         return
     lo, hi = bounding_box(poly)
     ref_lo, ref_hi = per_side_box(poly)
-    np.testing.assert_allclose(lo, ref_lo, rtol=1e-9, atol=1e-9)
-    np.testing.assert_allclose(hi, ref_hi, rtol=1e-9, atol=1e-9)
+    # the box encloses the polyhedron; it need not be tight
+    assert np.all(lo <= ref_lo) and np.all(hi >= ref_hi)
     open_lo, open_hi = np.zeros(poly.dimension, bool), np.zeros(poly.dimension, bool)
     if shape == "open_side":
         open_hi[k] = True
@@ -369,17 +374,17 @@ def test_bounding_box_matches_the_per_side_lps(case):
 
 
 @pytest.fixture
-def lp_calls(monkeypatch):
-    """One entry per LP that rlp.levy runs during the test."""
+def nnls_calls(monkeypatch):
+    """One entry per NNLS that rlp.levy runs during the test."""
     import rlp.levy
 
     calls = []
 
-    def counted(*args, _linprog=rlp.levy.linprog, **kwargs):
+    def counted(*args, _nnls=rlp.levy.nnls, **kwargs):
         calls.append(args)
-        return _linprog(*args, **kwargs)
+        return _nnls(*args, **kwargs)
 
-    monkeypatch.setattr(rlp.levy, "linprog", counted)
+    monkeypatch.setattr(rlp.levy, "nnls", counted)
     return calls
 
 
@@ -391,33 +396,56 @@ def lp_calls(monkeypatch):
     # one dimension with an open side: every row is axis-aligned
     (Polyhedron(np.array([[-1.0], [-2.0]]), np.array([0.0, 3.0])), [0.0], [math.inf]),
 ], ids=["redundant-rows", "half-line"])
-def test_bounding_box_is_closed_form_when_axis_rows_decide_it(lp_calls, poly, lo, hi):
+def test_bounding_box_is_closed_form_when_axis_rows_decide_it(nnls_calls, poly, lo, hi):
     got_lo, got_hi = bounding_box(poly)
-    assert lp_calls == []
+    assert nnls_calls == []
     assert np.array_equal(got_lo, lo) and np.array_equal(got_hi, hi)
 
 
-def test_crossed_axis_rows_are_empty_without_an_lp(lp_calls):
+def test_crossed_axis_rows_are_empty_without_an_lp(nnls_calls):
     crossed = Polyhedron(np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, 1.0]]),
                          np.array([0.0, -1.0, 4.0]))
     with pytest.raises(InfeasibleError):
         bounding_box(crossed)
-    assert lp_calls == []
+    assert nnls_calls == []
 
 
-@pytest.mark.parametrize("poly", [
+SIMPLEX = Polyhedron(np.vstack([-np.eye(3), np.ones((1, 3))]), np.array([0.0, 0.0, 0.0, 1.0]))
+
+
+@pytest.mark.parametrize("poly, certified", [
     # a box cut by a diagonal row
-    Polyhedron.box([(0.0, 1.0), (0.0, 1.0)]).intersect(
-        Polyhedron(np.array([[1.0, 1.0]]), np.array([1.5]))),
+    (Polyhedron.box([(0.0, 1.0), (0.0, 1.0)]).intersect(
+        Polyhedron(np.array([[1.0, 1.0]]), np.array([1.5]))), False),
     # the simplex {y >= 0, sum y <= 1}
-    Polyhedron(np.vstack([-np.eye(3), np.ones((1, 3))]), np.array([0.0, 0.0, 0.0, 1.0])),
+    (SIMPLEX, True),
 ], ids=["diagonal-cut", "simplex"])
-def test_bounding_box_runs_one_lp_when_a_row_cuts_the_box(lp_calls, poly):
+def test_bounding_box_runs_one_lp_when_a_row_cuts_the_box(nnls_calls, poly, certified):
     lo, hi = bounding_box(poly)
-    assert len(lp_calls) == 1
     ref_lo, ref_hi = per_side_box(poly)
-    np.testing.assert_allclose(lo, ref_lo, rtol=1e-9, atol=1e-9)
-    np.testing.assert_allclose(hi, ref_hi, rtol=1e-9, atol=1e-9)
+    if certified:
+        # one certificate per side, each within rounding of the tight side
+        assert len(nnls_calls) == 2 * poly.dimension
+        np.testing.assert_allclose(lo, ref_lo, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(hi, ref_hi, rtol=1e-12, atol=1e-12)
+        assert np.all(lo <= ref_lo) and np.all(hi >= ref_hi)
+    else:
+        # a finite axis box is returned as it is, the cut row ignored
+        assert nnls_calls == []
+        assert np.array_equal(lo, [0.0, 0.0]) and np.array_equal(hi, [1.0, 1.0])
+
+
+@pytest.mark.parametrize("offset", [0.5, -1.0])
+def test_a_row_of_zeros_holds_everywhere_or_nowhere(offset):
+    zero_row = Polyhedron(np.zeros((1, 3)), np.array([offset]))
+    cut = SIMPLEX.intersect(zero_row)
+    if offset < 0.0:
+        with pytest.raises(InfeasibleError):
+            bounding_box(cut)
+        return
+    lo, hi = bounding_box(cut)
+    ref_lo, ref_hi = bounding_box(SIMPLEX)
+    assert np.array_equal(lo, ref_lo) and np.array_equal(hi, ref_hi)
 
 
 def test_effective_domain_merges_natural_constraints():
