@@ -72,7 +72,9 @@ class GrowthModel:
     Reads the set's stacked drift, diffusion and atom arrays (see
     :class:`UncertaintySet`), so the per-vertex values at a strategy y come
     out of a handful of numpy calls over the m distinct atoms: ``rates`` is
-    the (m, k) table of rates per atom and vertex.
+    the (m, k) table of rates per atom and vertex, nonzero where the vertex
+    carries the atom. Gradients come from :meth:`smoothed` alone, and
+    :meth:`jump_factors` says where its rows are exact.
     """
 
     def __init__(self, theta: UncertaintySet, utility: UtilitySpec):
@@ -92,10 +94,11 @@ class GrowthModel:
         vertex lacks adds nothing there, even where its term is -inf."""
         return (self.rates * np.where(self.rates != 0.0, terms[:, None], 0.0)).sum(axis=0)
 
-    def _atoms(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Rates, locations and truncated locations of the atoms vertex i carries."""
-        idx = np.flatnonzero(self.rates[:, i])
-        return self.rates[idx, i], self.locations[idx], self.truncated[idx]
+    def jump_factors(self, y: np.ndarray) -> np.ndarray:
+        """Each vertex's smallest jump factor 1 + y . z over the atoms it
+        carries, shape (k,); inf for a vertex without atoms."""
+        factors = 1.0 + self.locations @ np.asarray(y, dtype=float)
+        return np.where(self.rates != 0.0, factors[:, None], np.inf).min(axis=0, initial=np.inf)
 
     def vertex_values(self, y: np.ndarray) -> np.ndarray:
         """Growth rates of all vertices at y, shape (k,), entries in [-inf, inf)."""
@@ -117,31 +120,24 @@ class GrowthModel:
         return low, idx
 
     def gradient(self, i: int, y: np.ndarray) -> np.ndarray:
-        """Supergradient of vertex i at y.
+        """Supergradient of vertex i at y: row i of :meth:`smoothed`'s gradients.
 
-        Refuses points at or numerically at a jump singularity, where the
-        one-sided derivative blows up.
+        Refused where vertex i's own jump factor is at or below
+        SINGULARITY_TOL, where that row continues a jump term instead.
         """
-        y = np.asarray(y, dtype=float)
-        grad = self.drifts[i] + (self.p - 1.0) * (self.diffusions[i] @ y)
-        rates, locations, truncated = self._atoms(i)
-        if len(rates):
-            s = locations @ y
-            if np.any(s <= -1.0 + SINGULARITY_TOL):
-                raise AtSingularityError(
-                    "gradient undefined where a jump factor 1 + y . z hits zero")
-            slope = _phi(s, self.p)[1]
-            grad = grad + rates @ (locations * slope[:, None] - truncated)
-        return grad
+        if self.jump_factors(y)[i] <= SINGULARITY_TOL:
+            raise AtSingularityError(
+                "gradient undefined where a jump factor 1 + y . z hits zero")
+        return self.smoothed(y)[1][i]
 
     def smoothed(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-vertex values and gradients with each jump term continued along
         its tangent below the jump factor SINGULARITY_TOL.
 
         The continuation keeps the function finite and C1 for solvers whose
-        steps reach or pass a bankruptcy face. Where every jump factor exceeds
-        SINGULARITY_TOL, which is wherever :meth:`gradient` is defined, the
-        results are exact.
+        steps reach or pass a bankruptcy face. A vertex's value and gradient
+        are exact where its own jump factors (:meth:`jump_factors`) exceed
+        SINGULARITY_TOL, which is wherever :meth:`gradient` is defined.
         """
         y = np.asarray(y, dtype=float)
         vals = self.drifts @ y + 0.5 * (self.p - 1.0) * ((self.diffusions @ y) @ y)

@@ -88,7 +88,7 @@ def _vertex_rules(drifts: np.ndarray, diffusions: np.ndarray, rates: np.ndarray,
     for row, broken in enumerate((
             ~(np.isfinite(rates) & np.isfinite(locations).all(axis=1)),
             rates <= 0.0,
-            np.linalg.norm(locations, axis=1) == 0.0)):
+            ~np.any(locations != 0.0, axis=1))):
         bad_atom[row, owner[broken]] = True
     bad_atom[:, bad_c] = False
     found = []

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import OptimizeResult, minimize, nnls
 
-from .errors import AtSingularityError, NotCompactError, SaddleNotCertifiedError
-from .growth import GrowthModel
+from .errors import NotCompactError, SaddleNotCertifiedError
+from .growth import SINGULARITY_TOL, GrowthModel
 from .levy import Polyhedron, UncertaintySet, UtilitySpec
 
 @dataclass(frozen=True, eq=False)
@@ -199,18 +199,18 @@ def maximize_robust(theta: UncertaintySet, feasible: Polyhedron,
     refused. The solve's KKT multipliers are the saddle's mixture and face
     multipliers (:func:`_kkt_weights`), which :func:`_bracket` turns into the
     answer's certificate. The diagnostics record the SLSQP status, its
-    iteration count and the smallest jump factor at the answer (inf without
-    atoms); a nonzero status is not an error, as the certificate judges the
-    answer. Raises NotCompactError when the feasible set is unbounded.
+    iteration count and the smallest jump factor at the answer, the minimum
+    of :meth:`GrowthModel.jump_factors` (inf without atoms); a nonzero
+    status is not an error, as the certificate judges the answer. Raises
+    NotCompactError when the feasible set is unbounded.
     """
     model = GrowthModel(theta, utility)
     if not feasible.compact:
         raise NotCompactError("the feasible set is unbounded; no maximizer exists in general")
     d = feasible.dimension
     y, res = _slsqp_max(model, FeasibleRegion(feasible), np.zeros(d))
-    jump = float(np.min(1.0 + theta.locations @ y, initial=math.inf))
-    diagnostics = {"method": "slsqp-epigraph", "status": int(res.status),
-                   "nit": int(res.nit), "min_jump_factor": jump}
+    diagnostics = {"method": "slsqp-epigraph", "status": int(res.status), "nit": int(res.nit),
+                   "min_jump_factor": float(np.min(model.jump_factors(y)))}
     value, worst = model.robust(y)
     if value <= 0.0:
         # The zero strategy is always feasible here and earns exactly 0 at every vertex.
@@ -264,8 +264,10 @@ def _bracket(model: GrowthModel, feasible: Polyhedron, y, weights,
     behind the Frank-Wolfe duality gap). The polytope lies in its cached
     bounding box [lo, hi], so the last term is at most
     sum_j max(r_j (hi_j - y_j), r_j (lo_j - y_j)), coordinate by coordinate,
-    and the game value is at most the maximum of f. The dual bound is inf
-    where a mixture gradient is singular at y or the sum is not finite.
+    and the game value is at most the maximum of f. The gradients are rows of
+    one :meth:`GrowthModel.smoothed` call; the dual bound is inf where a
+    support vertex's own jump factor is at or below SINGULARITY_TOL, where
+    its row is not exact, or where the sum is not finite.
     """
     y = np.asarray(y, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -281,11 +283,9 @@ def _bracket(model: GrowthModel, feasible: Polyhedron, y, weights,
     gvals = model.vertex_values(y)
     lower = float(np.min(gvals))
     support = np.flatnonzero(weights > 0.0)
-    try:
-        grads = np.array([model.gradient(i, y) for i in support])
-    except AtSingularityError:
+    if np.any(model.jump_factors(y)[support] <= SINGULARITY_TOL):
         return math.inf, lower
-    residual = weights[support] @ grads - feasible.normals.T @ multipliers
+    residual = weights[support] @ model.smoothed(y)[1][support] - feasible.normals.T @ multipliers
     slack = feasible.offsets - feasible.normals @ y
     lo, hi = feasible.bounds
     with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN: the bound is inf

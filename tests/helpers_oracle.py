@@ -1,5 +1,5 @@
 """Independent oracles: best responses, Kelley's cutting planes, nearest
-points and the martingale test.
+points, closed-form gradients and the martingale test.
 
 The library certifies a saddle by a dual bound at its own solution. These
 helpers solve the mixture player's side of the game separately, by repeated
@@ -7,11 +7,12 @@ best responses, so criterion 3 and the bound tests compare the library
 against a second computation; :func:`nearest_point` does the same for the
 library's least-distance projection, and :func:`martingale_check` for the
 `verify` report's martingale block, which the command line reads off its
-expected-utility estimate. The last four rebuild what the library builds in
-one pass, the obvious way: a model's vertices one triplet and one clamped
-diffusion matrix at a time, their
-atom table by np.unique, its digest from NumPy scalars, and a Monte Carlo
-sample with every jump of a chunk drawn at once.
+expected-utility estimate, and :func:`supergradient` for the growth
+evaluator's gradients, term by term from one triplet. The last four rebuild
+what the library builds in one pass, the obvious way: a model's vertices
+one triplet and one clamped diffusion matrix at a time, their atom table by
+np.unique, its digest from NumPy scalars, and a Monte Carlo sample with
+every jump of a chunk drawn at once.
 """
 
 from __future__ import annotations
@@ -157,6 +158,20 @@ def nearest_point(poly: Polyhedron, y: np.ndarray) -> np.ndarray:
                    jac=lambda x: x - y, method="SLSQP", constraints=[faces],
                    options={"maxiter": 500, "ftol": 1e-16})
     return res.x
+
+
+def supergradient(triplet: LevyTriplet, y: np.ndarray, utility: UtilitySpec) -> np.ndarray:
+    """Gradient of one triplet's growth rate at y in closed form, one atom at
+    a time from its own b, c and atoms: b + (p - 1) c y plus, per atom,
+    rate * (z (1 + y . z)^(p - 1) - h(z)), with h(z) = z when z . z <= 1 and
+    0 otherwise. Defined where every jump factor 1 + y . z is positive."""
+    y = np.asarray(y, dtype=float)
+    grad = triplet.b + (utility.p - 1.0) * (triplet.c @ y)
+    for rate, z in zip(triplet.jumps.rates, triplet.jumps.locations):
+        factor = 1.0 + float(y @ z)
+        assert factor > 0.0, "the gradient is undefined on or past a bankruptcy face"
+        grad = grad + rate * (z * factor ** (utility.p - 1.0) - (z if z @ z <= 1.0 else 0.0))
+    return grad
 
 
 def martingale_check(triplet: LevyTriplet, pi: np.ndarray, utility: UtilitySpec,

@@ -20,6 +20,7 @@ from rlp import (
 )
 
 from helpers_instances import random_instance, random_triplet, random_utility
+from helpers_oracle import supergradient
 
 LOG = UtilitySpec.log_utility()
 
@@ -192,8 +193,10 @@ def test_smoothed_matches_exact_values_above_the_floor():
         vals, grads = model.smoothed(y)
         exact = model.vertex_values(y)
         assert vals == pytest.approx(exact, rel=1e-12, abs=1e-14)
-        for i in range(model.k):
-            assert grads[i] == pytest.approx(model.gradient(i, y), rel=1e-12, abs=1e-14)
+        for i, t in enumerate(theta.vertices):
+            oracle = supergradient(t, y, u)
+            assert grads[i] == pytest.approx(oracle, rel=1e-12, abs=1e-14)
+            assert model.gradient(i, y) == pytest.approx(oracle, rel=1e-12, abs=1e-14)
 
 
 def test_the_atom_table_matches_each_vertex_on_its_own():
@@ -222,13 +225,43 @@ def test_the_atom_table_matches_each_vertex_on_its_own():
                 for value in (vals[i], smooth_vals[i]):
                     assert value == pytest.approx(growth_rate(t, y, u).value, abs=1e-12)
                     assert value == pytest.approx(direct, abs=1e-12)
-                for grad in (model.gradient(i, y), smooth_grads[i]):
-                    np.testing.assert_allclose(grad, growth_gradient(t, y, u), rtol=0, atol=1e-12)
+                for grad in (model.gradient(i, y), smooth_grads[i], growth_gradient(t, y, u)):
+                    np.testing.assert_allclose(grad, supergradient(t, y, u), rtol=0, atol=1e-12)
     # past the bankruptcy face of zc the vertices holding it are -inf and the
     # one without it stays finite, not nan
     vals = GrowthModel(theta, LOG).vertex_values(np.array([0.0, -1.2]))
     assert vals[:2].tolist() == [-math.inf, -math.inf]
     assert math.isfinite(vals[2])
+
+
+def test_jump_factors_read_each_vertex_own_atoms():
+    # vertex 0 holds za, vertex 1 zb and zc, vertex 2 no atom
+    za, zb, zc = np.array([0.4, 0.0]), np.array([-0.5, 0.2]), np.array([-0.3, 0.9])
+    c = 0.04 * np.eye(2)
+    theta = UncertaintySet((
+        LevyTriplet(np.array([0.05, 0.02]), c, JumpMeasure.from_atoms([(0.2, za)])),
+        LevyTriplet(np.array([0.08, -0.01]), c, JumpMeasure.from_atoms([(0.3, zc), (0.1, zb)])),
+        LevyTriplet(np.array([0.01, 0.03]), c, JumpMeasure.empty(2))))
+    model = GrowthModel(theta, LOG)
+    rng = np.random.default_rng(5)
+    for y in rng.uniform(-1.5, 1.5, (20, 2)):
+        factors = model.jump_factors(y)
+        assert factors[0] == pytest.approx(1.0 + za @ y, abs=1e-15)
+        assert factors[1] == pytest.approx(min(1.0 + zb @ y, 1.0 + zc @ y), abs=1e-15)
+        assert factors[2] == math.inf
+        assert factors.min() == np.min(1.0 + model.locations @ y)
+    # on the face of za only vertex 0 refuses its gradient; the others are
+    # exact rows of smoothed
+    y = np.array([-2.5, 0.3])
+    assert model.jump_factors(y)[0] == 0.0
+    with pytest.raises(AtSingularityError):
+        model.gradient(0, y)
+    for i in (1, 2):
+        np.testing.assert_allclose(model.gradient(i, y), supergradient(theta.vertices[i], y, LOG),
+                                   rtol=0, atol=1e-12)
+    # a set without any atom has an empty atom table
+    model = GrowthModel(UncertaintySet((one_asset(0.1, 0.04, []),) * 2), LOG)
+    assert model.jump_factors(np.array([3.0])).tolist() == [math.inf, math.inf]
 
 
 def test_smoothed_is_finite_past_the_boundary():

@@ -125,6 +125,18 @@ def test_validate_triplet_reports_each_violation():
     assert validate_triplet(make_triplet()) == []
 
 
+def test_an_atom_too_short_for_its_norm_is_not_at_the_origin():
+    # the norms of these atoms underflow to 0; only an exact zero is refused
+    def triplet(*locations):
+        return LevyTriplet(np.zeros(len(locations[0])), 0.01 * np.eye(len(locations[0])),
+                           JumpMeasure.from_atoms([(0.1, z) for z in locations]))
+
+    assert validate_triplet(triplet((1e-170,))) == []
+    assert validate_triplet(triplet((1e-170, 0.0), (-0.5, 0.3))) == []
+    assert validate_triplet(triplet((0.0, -0.0), (-0.5, 0.3))) == [
+        "jump atom at the origin is not allowed"]
+
+
 def test_symmetry_tolerance_is_entrywise_and_refuses_infinities():
     def triplet(c):
         return LevyTriplet(np.zeros(2), np.array(c), JumpMeasure.empty(2))

@@ -22,8 +22,10 @@ from rlp import (
     SchemaError,
     canonical_json,
     emit_report,
+    find_saddle,
     load_model,
     validate_triplet,
+    verify_saddle,
 )
 
 from helpers_instances import pooled_vertices
@@ -433,6 +435,26 @@ def test_bad_vertices_are_reported_as_one_at_a_time(tmp_path):
         "vertex 0: diffusion matrix is not PSD (min eigenvalue -1.000e+00); "
         "vertex 2: every jump rate must be strictly positive; "
         "vertex 2: jump atom at the origin is not allowed")
+
+
+def test_only_an_atom_exactly_at_the_origin_is_refused(tmp_path):
+    # the Euclidean norm of (1e-170, 0) underflows to 0, yet the atom is not
+    # at the origin: the model loads, certifies and verifies
+    assert np.linalg.norm([1e-170, 0.0]) == 0.0
+
+    def model(z):
+        return minimal_model(dimension=2, C={"box": [[-1.0, 1.0], [-1.0, 1.0]]}, Theta={
+            "vertices": [{"b": [0.05, 0.03], "c": [[0.04, 0.0], [0.0, 0.04]], "jumps": {
+                "atoms": [{"rate": 0.1, "location": z},
+                          {"rate": 0.2, "location": [-0.5, 0.3]}]}}]})
+
+    spec = load_model(write_model(tmp_path, model([1e-170, 0.0])))
+    assert spec.theta.locations.tolist() == [[1e-170, 0.0], [-0.5, 0.3]]
+    cert = find_saddle(spec.theta, spec.feasible, spec.utility)
+    assert verify_saddle(spec.theta, spec.feasible, spec.utility, cert)[0]
+    with pytest.raises(ModelError) as info:
+        load_model(write_model(tmp_path, model([0.0, -0.0])))
+    assert str(info.value) == "vertex 0: jump atom at the origin is not allowed"
 
 
 def test_loading_decomposes_the_diffusions_in_batches(monkeypatch):

@@ -457,6 +457,42 @@ def test_verify_saddle_fails_malformed_face_multipliers():
         assert details["checks"]["max_y"] == math.inf
 
 
+def bankrupt_bystander():
+    """A two-vertex game whose robust optimum y = 2 lies on the bankruptcy
+    face of vertex 1's atom z = -0.5. Vertex 0 has no atom and is the worst
+    there, so the saddle puts all weight on it, with face multiplier 0.18 =
+    its slope 0.1 - 0.5 * 0.01 * 2 over the face normal 0.5."""
+    u = UtilitySpec.power_utility(0.5)
+    theta = UncertaintySet((one_asset(0.1, 0.01), one_asset(0.2, 0.01, [(0.05, (-0.5,))])))
+    feasible, _ = effective_domain(Polyhedron.box([(0.0, 3.0)]), theta)
+    y = np.array([2.0])
+    model = GrowthModel(theta, u)
+    assert model.jump_factors(y).tolist() == [math.inf, 0.0]
+    candidate = SaddleCertificate(
+        y_hat=y, theta_hat_weights=np.array([1.0, 0.0]),
+        face_multipliers=np.where(feasible.normals[:, 0] == 0.5, 0.18, 0.0),
+        value=float(model.vertex_values(y)[0]),
+        residual_max_y=0.0, residual_min_theta=0.0, gap=0.0)
+    return theta, feasible, u, candidate
+
+
+def test_a_bankrupt_vertex_outside_the_support_keeps_the_bound_finite():
+    theta, feasible, u, candidate = bankrupt_bystander()
+    ok, details = verify_saddle(theta, feasible, u, candidate, tol=1e-12)
+    assert ok
+    assert math.isfinite(details["checks"]["max_y"])
+    assert maximize_robust(theta, feasible, u).certificate.passes(1e-9)
+
+
+def test_a_bankrupt_vertex_inside_the_support_makes_the_bound_infinite():
+    theta, feasible, u, candidate = bankrupt_bystander()
+    for weights in ([0.0, 1.0], [0.5, 0.5]):
+        ok, details = verify_saddle(theta, feasible, u, dataclasses.replace(
+            candidate, theta_hat_weights=np.array(weights)))
+        assert not ok
+        assert details["checks"]["max_y"] == math.inf
+
+
 def test_verify_saddle_fails_a_singular_gradient():
     # y = 1 sits on the bankruptcy boundary of the jump z = -1: the
     # fractional-power growth rate is finite there but its slope is not
