@@ -72,9 +72,8 @@ class GrowthModel:
     Reads the set's stacked drift, diffusion and atom arrays (see
     :class:`UncertaintySet`), so the per-vertex values at a strategy y come
     out of a handful of numpy calls over the m distinct atoms: ``rates`` is
-    the (m, k) table of rates per atom and vertex, nonzero where the vertex
-    carries the atom. Gradients come from :meth:`smoothed` alone, and
-    :meth:`jump_factors` says where its rows are exact.
+    the (m, k) table of rates per atom and vertex. Every gradient is a row of
+    :meth:`smoothed`, exact where :meth:`jump_factors` exceed SINGULARITY_TOL.
     """
 
     def __init__(self, theta: UncertaintySet, utility: UtilitySpec):
@@ -90,13 +89,13 @@ class GrowthModel:
         self.truncated = truncation(self.locations)
 
     def _per_vertex(self, terms: np.ndarray) -> np.ndarray:
-        """Rate-weighted sums of the per-atom terms, one per vertex; an atom a
-        vertex lacks adds nothing there, even where its term is -inf."""
-        return (self.rates * np.where(self.rates != 0.0, terms[:, None], 0.0)).sum(axis=0)
+        """Rate-weighted sums of the per-atom terms (m,) or rows (m, d), one per
+        vertex; an atom a vertex lacks adds nothing there, even an infinite one."""
+        rates = self.rates if terms.ndim == 1 else self.rates[:, :, None]
+        return (rates * np.where(rates != 0.0, terms[:, None], 0.0)).sum(axis=0)
 
     def jump_factors(self, y: np.ndarray) -> np.ndarray:
-        """Each vertex's smallest jump factor 1 + y . z over the atoms it
-        carries, shape (k,); inf for a vertex without atoms."""
+        """Each vertex's smallest jump factor 1 + y . z over its own atoms, inf if none."""
         factors = 1.0 + self.locations @ np.asarray(y, dtype=float)
         return np.where(self.rates != 0.0, factors[:, None], np.inf).min(axis=0, initial=np.inf)
 
@@ -120,24 +119,20 @@ class GrowthModel:
         return low, idx
 
     def gradient(self, i: int, y: np.ndarray) -> np.ndarray:
-        """Supergradient of vertex i at y: row i of :meth:`smoothed`'s gradients.
-
-        Refused where vertex i's own jump factor is at or below
-        SINGULARITY_TOL, where that row continues a jump term instead.
-        """
+        """Supergradient of vertex i at y, row i of :meth:`smoothed`'s gradients;
+        refused where vertex i's own jump factor is at or below SINGULARITY_TOL."""
         if self.jump_factors(y)[i] <= SINGULARITY_TOL:
-            raise AtSingularityError(
-                "gradient undefined where a jump factor 1 + y . z hits zero")
+            raise AtSingularityError("gradient undefined where a jump factor 1 + y . z hits zero")
         return self.smoothed(y)[1][i]
 
     def smoothed(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-vertex values and gradients with each jump term continued along
         its tangent below the jump factor SINGULARITY_TOL.
 
-        The continuation keeps the function finite and C1 for solvers whose
-        steps reach or pass a bankruptcy face. A vertex's value and gradient
-        are exact where its own jump factors (:meth:`jump_factors`) exceed
-        SINGULARITY_TOL, which is wherever :meth:`gradient` is defined.
+        The continuation keeps the function C1, and finite for p above about
+        -24.7, for solvers whose steps reach or pass a bankruptcy face. A
+        vertex's row is exact where its own jump factors (:meth:`jump_factors`)
+        exceed SINGULARITY_TOL, which is wherever :meth:`gradient` is defined.
         """
         y = np.asarray(y, dtype=float)
         vals = self.drifts @ y + 0.5 * (self.p - 1.0) * ((self.diffusions @ y) @ y)
@@ -146,8 +141,16 @@ class GrowthModel:
             s = self.locations @ y
             floor = -1.0 + SINGULARITY_TOL
             base, slope = _phi(np.maximum(s, floor), self.p)
-            terms = base + slope * np.minimum(s - floor, 0.0) - self.truncated @ y
-            vals = vals + self._per_vertex(terms)
+            step = np.minimum(s - floor, 0.0)
+            if np.isinf(slope).any():
+                # p far below 0, near a face: an inf slope reaches only the vertices
+                # carrying its atom, its nonzero coordinates and its continued part.
+                with np.errstate(invalid="ignore"):  # masked inf * 0, inf - inf in a vertex
+                    terms = base + np.where(step < 0.0, slope * step, 0.0) - self.truncated @ y
+                    rows = np.where(self.locations != 0.0, self.locations * slope[:, None], 0.0)
+                    return (vals + self._per_vertex(terms),
+                            grads + self._per_vertex(rows - self.truncated))
+            vals = vals + self._per_vertex(base + slope * step - self.truncated @ y)
             grads = grads + self.rates.T @ (self.locations * slope[:, None] - self.truncated)
         return vals, grads
 

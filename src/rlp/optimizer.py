@@ -199,10 +199,9 @@ def maximize_robust(theta: UncertaintySet, feasible: Polyhedron,
     refused. The solve's KKT multipliers are the saddle's mixture and face
     multipliers (:func:`_kkt_weights`), which :func:`_bracket` turns into the
     answer's certificate. The diagnostics record the SLSQP status, its
-    iteration count and the smallest jump factor at the answer, the minimum
-    of :meth:`GrowthModel.jump_factors` (inf without atoms); a nonzero
-    status is not an error, as the certificate judges the answer. Raises
-    NotCompactError when the feasible set is unbounded.
+    iteration count and the smallest of :meth:`GrowthModel.jump_factors` at
+    the answer (inf without atoms); a nonzero status is not an error, as the
+    certificate judges the answer. Raises NotCompactError when the feasible set is unbounded.
     """
     model = GrowthModel(theta, utility)
     if not feasible.compact:
@@ -264,10 +263,9 @@ def _bracket(model: GrowthModel, feasible: Polyhedron, y, weights,
     behind the Frank-Wolfe duality gap). The polytope lies in its cached
     bounding box [lo, hi], so the last term is at most
     sum_j max(r_j (hi_j - y_j), r_j (lo_j - y_j)), coordinate by coordinate,
-    and the game value is at most the maximum of f. The gradients are rows of
-    one :meth:`GrowthModel.smoothed` call; the dual bound is inf where a
-    support vertex's own jump factor is at or below SINGULARITY_TOL, where
-    its row is not exact, or where the sum is not finite.
+    and the game value is at most the maximum of f, with g from one
+    :meth:`GrowthModel.smoothed` call. The dual bound is inf where a support
+    vertex's own jump factor is at or below SINGULARITY_TOL or the sum is not finite.
     """
     y = np.asarray(y, dtype=float)
     weights = np.asarray(weights, dtype=float)

@@ -264,6 +264,41 @@ def test_jump_factors_read_each_vertex_own_atoms():
     assert model.jump_factors(np.array([3.0])).tolist() == [math.inf, math.inf]
 
 
+@pytest.mark.filterwarnings("error")
+def test_an_overflowing_slope_stays_with_the_vertex_that_carries_its_atom():
+    # with p = -60 the slope (1 + s)^(p - 1) of z = (-0.5, 0) passes the float
+    # range where the jump factor drops below 10^-5.05, and its value term
+    # where it drops below 10^-5.14; vertex 0 has no atom
+    u = UtilitySpec.power_utility(-60.0)
+    c = 0.01 * np.eye(2)
+    theta = UncertaintySet((
+        LevyTriplet(np.array([0.1, 0.05]), c, JumpMeasure.empty(2)),
+        LevyTriplet(np.array([0.2, 0.1]), c, JumpMeasure.from_atoms([(0.05, (-0.5, 0.0))]))))
+    model = GrowthModel(theta, u)
+    for factor in (8e-6, 5e-6):
+        y = np.array([2.0 * (1.0 - factor), 0.3])
+        vals, grads = model.smoothed(y)
+        exact = model.vertex_values(y)
+        assert math.isfinite(exact[0])
+        assert math.isfinite(exact[1]) == (factor == 8e-6)
+        assert vals == pytest.approx(exact, rel=1e-12)
+        np.testing.assert_allclose(grads[0], supergradient(theta.vertices[0], y, u), rtol=1e-12)
+        # the atom pulls coordinate 0 of vertex 1 to -inf and leaves
+        # coordinate 1, where it is 0, at 0.1 + (p - 1) 0.01 y_1
+        assert grads[1][0] == -math.inf
+        assert grads[1][1] == pytest.approx(0.1 - 61 * 0.01 * 0.3, rel=1e-12)
+        for i in (0, 1):
+            np.testing.assert_array_equal(model.gradient(i, y), grads[i])
+    # past the face the continuation is -inf for vertex 1 and vertex 0 is exact
+    y = np.array([2.1, 0.3])
+    vals, grads = model.smoothed(y)
+    assert vals[0] == pytest.approx(model.vertex_values(y)[0], rel=1e-12)
+    assert vals[1] == -math.inf
+    np.testing.assert_allclose(grads[0], supergradient(theta.vertices[0], y, u), rtol=1e-12)
+    with pytest.raises(AtSingularityError):
+        model.gradient(1, y)
+
+
 def test_smoothed_is_finite_past_the_boundary():
     t = one_asset(0.1, 0.04, [(0.05, (-0.5,))])
     model = GrowthModel(UncertaintySet((t,)), LOG)

@@ -113,6 +113,13 @@ def test_validate_triplet_reports_each_violation():
     origin_atom = LevyTriplet(np.zeros(1), np.array([[0.01]]),
                               JumpMeasure(np.array([0.1]), np.array([[0.0]])))
     assert any("origin" in m for m in validate_triplet(origin_atom))
+    # only an exact zero is at the origin, not an atom whose norm underflows
+    at_origin = ["jump atom at the origin is not allowed"]
+    for locations, msgs in ((((1e-170,),), []), (((1e-170, 0.0), (-0.5, 0.3)), []),
+                            (((0.0, -0.0), (-0.5, 0.3)), at_origin)):
+        d = len(locations[0])
+        atoms = JumpMeasure.from_atoms([(0.1, z) for z in locations])
+        assert validate_triplet(LevyTriplet(np.zeros(d), 0.01 * np.eye(d), atoms)) == msgs
 
     bad_rate = LevyTriplet(np.zeros(1), np.array([[0.01]]),
                            JumpMeasure(np.array([-0.1]), np.array([[1.0]])))
@@ -123,18 +130,6 @@ def test_validate_triplet_reports_each_violation():
     assert any("symmetric" in m for m in validate_triplet(asym))
 
     assert validate_triplet(make_triplet()) == []
-
-
-def test_an_atom_too_short_for_its_norm_is_not_at_the_origin():
-    # the norms of these atoms underflow to 0; only an exact zero is refused
-    def triplet(*locations):
-        return LevyTriplet(np.zeros(len(locations[0])), 0.01 * np.eye(len(locations[0])),
-                           JumpMeasure.from_atoms([(0.1, z) for z in locations]))
-
-    assert validate_triplet(triplet((1e-170,))) == []
-    assert validate_triplet(triplet((1e-170, 0.0), (-0.5, 0.3))) == []
-    assert validate_triplet(triplet((0.0, -0.0), (-0.5, 0.3))) == [
-        "jump atom at the origin is not allowed"]
 
 
 def test_symmetry_tolerance_is_entrywise_and_refuses_infinities():

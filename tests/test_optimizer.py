@@ -484,6 +484,23 @@ def test_a_bankrupt_vertex_outside_the_support_keeps_the_bound_finite():
     assert maximize_robust(theta, feasible, u).certificate.passes(1e-9)
 
 
+@pytest.mark.filterwarnings("error")
+def test_an_overflowing_slope_outside_the_support_leaves_the_bound_alone():
+    # with p = -60 the slope (1 + y z)^(p - 1) of vertex 1's atom passes the
+    # float range at y = 1.99999, a jump factor 5e-6 short of its face; the
+    # bound on vertex 0 is the one it has in a game without vertex 1
+    theta, feasible, _, candidate = bankrupt_bystander()
+    u = UtilitySpec.power_utility(-60.0)
+    y = np.array([1.99999])
+    candidate = dataclasses.replace(
+        candidate, y_hat=y, value=float(GrowthModel(theta, u).vertex_values(y)[0]))
+    _, details = verify_saddle(theta, feasible, u, candidate)
+    _, alone = verify_saddle(UncertaintySet(theta.vertices[:1]), feasible, u,
+                             dataclasses.replace(candidate, theta_hat_weights=np.array([1.0])))
+    assert math.isfinite(details["checks"]["max_y"])
+    assert details["checks"]["max_y"] == alone["checks"]["max_y"]
+
+
 def test_a_bankrupt_vertex_inside_the_support_makes_the_bound_infinite():
     theta, feasible, u, candidate = bankrupt_bystander()
     for weights in ([0.0, 1.0], [0.5, 0.5]):
