@@ -165,7 +165,6 @@ def _pick_strategy(spec: ProblemSpec, flags: argparse.Namespace) -> tuple[np.nda
 def _cmd_validate(spec: ProblemSpec, flags: argparse.Namespace) -> tuple[dict, int, list]:
     results = {
         "kappa": float(spec.kappa),
-        "compact": bool(spec.compact),
         "dimension": int(spec.dimension),
         "n_vertices": len(spec.theta.vertices),
         "n_constraints": int(spec.feasible.m),
@@ -268,7 +267,7 @@ def _cmd_verify(spec: ProblemSpec, flags: argparse.Namespace) -> tuple[dict, int
 # Each subcommand's help line, handler and the flags that handler reads, in
 # the order the usage lists them.
 COMMANDS = {
-    "validate": ("check a model file and report kappa and compactness", _cmd_validate, ()),
+    "validate": ("check a model file and report kappa and its shape", _cmd_validate, ()),
     "solve": ("maximize the worst-case growth rate", _cmd_solve, ("--tol",)),
     "saddle": ("solve and certify a saddle point", _cmd_saddle, ("--tol",)),
     "simulate": ("Monte Carlo expected utility against the closed form", _cmd_simulate,

@@ -78,7 +78,6 @@ class GrowthModel:
 
     def __init__(self, theta: UncertaintySet, utility: UtilitySpec):
         self.theta = theta
-        self.utility = utility
         self.p = utility.p
         self.k = len(theta)
         self.d = theta.dimension

@@ -129,13 +129,10 @@ class JumpMeasure:
         (m,) expected jumps per unit time, all strictly positive.
     locations
         (m, d) jump sizes, none at the origin.
-    approximate
-        True when the atoms were produced by discretizing a density.
     """
 
     rates: np.ndarray
     locations: np.ndarray
-    approximate: bool = False
 
     def __post_init__(self):
         rates = _readonly(np.atleast_1d(np.asarray(self.rates, dtype=float)))
@@ -151,15 +148,15 @@ class JumpMeasure:
 
     @classmethod
     def from_atoms(cls, atoms: Iterable[tuple[float, Sequence[float]]],
-                   dimension: int | None = None, approximate: bool = False) -> "JumpMeasure":
+                   dimension: int | None = None) -> "JumpMeasure":
         atoms = list(atoms)
         if not atoms:
             if dimension is None:
                 raise ValueError("dimension is required for an empty atom list")
-            return cls(np.zeros(0), np.zeros((0, dimension)), approximate)
+            return cls(np.zeros(0), np.zeros((0, dimension)))
         rates = np.array([a[0] for a in atoms], dtype=float)
         locs = np.array([np.atleast_1d(a[1]) for a in atoms], dtype=float)
-        return cls(rates, locs, approximate)
+        return cls(rates, locs)
 
     @property
     def m(self) -> int:
@@ -264,11 +261,10 @@ class UncertaintySet:
 
     @classmethod
     def stacked(cls, drifts: np.ndarray, diffusions: np.ndarray, rates: np.ndarray,
-                locations: np.ndarray, counts: Sequence[int],
-                approximate: Sequence[bool]) -> "UncertaintySet":
+                locations: np.ndarray, counts: Sequence[int]) -> "UncertaintySet":
         """The set of the k vertices stacked as drifts (k, d) and diffusions
         (k, d, d), vertex i carrying the next counts[i] of the listed atoms
-        rates (n,) and locations (n, d), discretized where approximate[i].
+        rates (n,) and locations (n, d).
 
         The vertex rules (:func:`_vertex_rules`) run once over the whole
         stack: one batched eigh clamps each diffusion matrix as
@@ -287,10 +283,8 @@ class UncertaintySet:
         ends = np.cumsum(counts).tolist()
         return cls(tuple(
             _built(LevyTriplet, b=b, c=c, jumps=_built(
-                JumpMeasure, rates=rates[start:end], locations=locations[start:end],
-                approximate=bool(flag)))
-            for b, c, start, end, flag in zip(drifts, diffusions, [0] + ends, ends,
-                                              approximate)))
+                JumpMeasure, rates=rates[start:end], locations=locations[start:end]))
+            for b, c, start, end in zip(drifts, diffusions, [0] + ends, ends)))
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -603,8 +597,7 @@ def compile_box_to_vertices(*, b_intervals: Sequence[Sequence[float]],
     kept = corners[:, d + 1:] > 0.0
     locations = np.reshape(np.asarray(atom_locations, dtype=float), (-1, d))
     return UncertaintySet.stacked(corners[:, :d], diffusions, corners[:, d + 1:][kept],
-                                  locations[np.nonzero(kept)[1]], kept.sum(axis=1),
-                                  [False] * len(corners))
+                                  locations[np.nonzero(kept)[1]], kept.sum(axis=1))
 
 
 def discretize_density(density: Callable[[float], float],
@@ -613,8 +606,7 @@ def discretize_density(density: Callable[[float], float],
     """Midpoint-rule discretization of a one-dimensional jump intensity.
 
     The support must not straddle the origin (jumps of size zero are not
-    jumps). Cells where the density vanishes are dropped. The result is
-    flagged ``approximate``.
+    jumps). Cells where the density vanishes are dropped.
     """
     a, b = (float(s) for s in support)
     if not a < b:
@@ -629,5 +621,4 @@ def discretize_density(density: Callable[[float], float],
     if np.any(levels < 0.0):
         raise ValueError("the density must be nonnegative on its support")
     keep = levels > 0.0
-    return JumpMeasure(levels[keep] * width, centers[keep].reshape(-1, 1),
-                       approximate=True)
+    return JumpMeasure(levels[keep] * width, centers[keep].reshape(-1, 1))

@@ -56,7 +56,6 @@ class ProblemSpec:
     theta: UncertaintySet
     simulation: SimulationOptions
     feasible: Polyhedron
-    compact: bool
     kappa: float
     provenance: tuple[str, ...]
     digest: str
@@ -165,11 +164,8 @@ def _parse_jumps(obj, dimension: int, where: str) -> tuple[list, list, bool]:
                                       dimension))
         return rates, locations, False
     density = _fields(obj["density"], f"{where}.density",
-                      ("form", "level", "slope", "support", "grid_points"))
+                      ("level", "slope", "support", "grid_points"))
     _require(dimension == 1, "density-specified jumps require dimension 1")
-    form = density.get("form", "constant")
-    _require(form in ("constant", "linear"), f"'{where}.density.form' must be "
-             "'constant' or 'linear'")
     level = _number(density.get("level"), f"{where}.density.level")
     slope = _number(density.get("slope", 0.0), f"{where}.density.slope")
     support = _vector(density.get("support"), f"{where}.density.support", 2)
@@ -182,21 +178,23 @@ def _parse_jumps(obj, dimension: int, where: str) -> tuple[list, list, bool]:
     return jumps.rates.tolist(), jumps.locations.tolist(), True
 
 
-def _parse_vertices(vertices, dimension: int) -> UncertaintySet:
-    """A vertex list, parsed straight into the stacked arrays of the set."""
-    drifts, diffusions, rates, locations, counts, approximate = [], [], [], [], [], []
+def _parse_vertices(vertices, dimension: int) -> tuple[UncertaintySet, bool]:
+    """A vertex list, parsed straight into the stacked arrays of the set, and
+    whether some vertex discretizes a density."""
+    drifts, diffusions, rates, locations, counts = [], [], [], [], []
+    discretized = False
     for i, vertex in enumerate(vertices):
         where = f"Theta.vertices[{i}]"
         vertex = _fields(vertex, where, ("b", "c", "jumps"))
         drifts.append(_numbers(vertex.get("b"), f"{where}.b", dimension))
         diffusions.append(_matrix(vertex.get("c"), f"{where}.c", dimension))
-        jump_rates, jump_locations, discretized = _parse_jumps(
+        jump_rates, jump_locations, from_density = _parse_jumps(
             vertex.get("jumps"), dimension, f"{where}.jumps")
         rates += jump_rates
         locations += jump_locations
         counts.append(len(jump_rates))
-        approximate.append(discretized)
-    return UncertaintySet.stacked(drifts, diffusions, rates, locations, counts, approximate)
+        discretized |= from_density
+    return UncertaintySet.stacked(drifts, diffusions, rates, locations, counts), discretized
 
 
 def _parse_interval(obj, name: str) -> tuple[float, float]:
@@ -205,7 +203,9 @@ def _parse_interval(obj, name: str) -> tuple[float, float]:
     return float(pair[0]), float(pair[1])
 
 
-def _parse_theta(obj, dimension: int) -> UncertaintySet:
+def _parse_theta(obj, dimension: int) -> tuple[UncertaintySet, bool]:
+    """Theta, and whether its atoms discretize a density somewhere (a box
+    lists its atoms, so never)."""
     obj = _fields(obj, "Theta", ("vertices", "box"))
     _require(("vertices" in obj) != ("box" in obj),
              "'Theta' needs exactly one of 'vertices' or 'box'")
@@ -236,7 +236,7 @@ def _parse_theta(obj, dimension: int) -> UncertaintySet:
         rate_intervals.append(rate)
     return compile_box_to_vertices(
         b_intervals=b_intervals, c_scale=c_scale, c_base=c_base,
-        atom_locations=locations, rate_intervals=rate_intervals)
+        atom_locations=locations, rate_intervals=rate_intervals), False
 
 
 def _parse_constraints(obj, dimension: int) -> Polyhedron:
@@ -337,7 +337,7 @@ def load_model(path: str) -> ProblemSpec:
     x0 = _number(raw["x0"], "x0")
     if x0 <= 0.0:
         raise ModelError("the initial capital x0 must be positive")
-    theta = _parse_theta(raw["Theta"], dimension)
+    theta, discretized = _parse_theta(raw["Theta"], dimension)
     constraints = _parse_constraints(raw.get("C"), dimension)
     simulation = _parse_simulation(raw.get("simulation"))
     feasible, compact = effective_domain(constraints, theta)
@@ -347,13 +347,12 @@ def load_model(path: str) -> ProblemSpec:
                          "constraints leaves an unbounded direction")
     if not np.isfinite(kappa):
         raise ModelError("the characteristics bound kappa is not finite")
-    discretized = any(v.jumps.approximate for v in theta.vertices)
     resolved = _resolved_dict(dimension, utility, horizon, x0, constraints, theta, simulation)
     digest = hashlib.sha256(canonical_json(resolved).encode("utf-8")).hexdigest()
     return ProblemSpec(
         dimension=dimension, utility=utility, horizon=horizon, x0=x0,
         constraints=constraints, theta=theta, simulation=simulation,
-        feasible=feasible, compact=compact, kappa=kappa,
+        feasible=feasible, kappa=kappa,
         provenance=("density_discretized",) if discretized else (), digest=digest,
         resolved=resolved)
 
@@ -390,13 +389,6 @@ class Report:
             "provenance": list(self.provenance),
             "timings": self.timings,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Report":
-        return cls(command=data["command"], model=data["model"],
-                   digest=data["digest"], status=data["status"],
-                   results=data["results"], provenance=list(data["provenance"]),
-                   timings=data["timings"])
 
     def to_json(self) -> str:
         """Canonical JSON; +-inf become the strings "inf" and "-inf", NaN raises."""

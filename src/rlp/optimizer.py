@@ -200,20 +200,20 @@ def maximize_robust(theta: UncertaintySet, feasible: Polyhedron,
     multipliers (:func:`_kkt_weights`), which :func:`_bracket` turns into the
     answer's certificate. The diagnostics record the SLSQP status, its
     iteration count and the smallest of :meth:`GrowthModel.jump_factors` at
-    the answer (inf without atoms); a nonzero status is not an error, as the
-    certificate judges the answer. Raises NotCompactError when the feasible set is unbounded.
+    the returned y_hat (inf without atoms); a nonzero status is not an error,
+    as the certificate judges the answer. Raises NotCompactError when the feasible set is unbounded.
     """
     model = GrowthModel(theta, utility)
     if not feasible.compact:
         raise NotCompactError("the feasible set is unbounded; no maximizer exists in general")
     d = feasible.dimension
     y, res = _slsqp_max(model, FeasibleRegion(feasible), np.zeros(d))
-    diagnostics = {"method": "slsqp-epigraph", "status": int(res.status), "nit": int(res.nit),
-                   "min_jump_factor": float(np.min(model.jump_factors(y)))}
     value, worst = model.robust(y)
     if value <= 0.0:
         # The zero strategy is always feasible here and earns exactly 0 at every vertex.
         y, value, worst = np.zeros(d), 0.0, 0
+    diagnostics = {"method": "slsqp-epigraph", "status": int(res.status), "nit": int(res.nit),
+                   "min_jump_factor": float(np.min(model.jump_factors(y)))}
     weights, multipliers = _kkt_weights(res.multipliers, model.k, feasible.m, worst)
     gvals = model.vertex_values(y)
     support = weights > 0.0

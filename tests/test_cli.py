@@ -61,7 +61,7 @@ def test_validate_reports_the_model_shape(capsys):
     status, report = run_json(capsys, ["validate", "--model", BOX])
     assert status == 0
     results = report["results"]
-    assert results["compact"] is True
+    assert set(results) == {"kappa", "dimension", "n_vertices", "n_constraints"}
     assert results["dimension"] == 1
     assert results["n_vertices"] == 8
     # the box contributes two halfspaces, the jump atom one more
@@ -439,8 +439,7 @@ def test_the_bundled_long_only_model_keeps_its_maximizer_on_the_face(capsys):
 def density_model(**density) -> dict:
     model = json.loads(Path(MERTON).read_text())
     model["Theta"]["vertices"][0]["jumps"] = {"density": {
-        "form": "linear", "level": 0.5, "slope": 0.1, "support": [0.5, 1.5],
-        "grid_points": 4, **density}}
+        "level": 0.5, "slope": 0.1, "support": [0.5, 1.5], "grid_points": 4, **density}}
     return model
 
 
@@ -463,10 +462,13 @@ def log_model(**utility) -> dict:
     (density_model(support=[1.5, 0.5]), "ModelError", "Theta.vertices[0].jumps.density"),
     # level + slope z is -0.1375 at the first cell midpoint, z = 0.625
     (density_model(level=-0.2), "ModelError", "Theta.vertices[0].jumps.density"),
+    # the density is always level + slope z, so it takes no form
+    (density_model(form="constant"), "SchemaError",
+     "unknown key 'form' in 'Theta.vertices[0].jumps.density'"),
     (log_model(p=False), "SchemaError", "utility.p"),
     (log_model(zz=1), "SchemaError", "unknown key 'zz' in 'utility'"),
 ], ids=["bool-c-base", "one-grid-point", "too-many-grid-points", "reversed-support",
-        "negative-density", "bool-log-p", "unknown-utility-key"])
+        "negative-density", "density-form", "bool-log-p", "unknown-utility-key"])
 def test_malformed_models_exit_1_with_an_error_report(capsys, tmp_path, model, code, where):
     status = main(["validate", "--model", write_model(tmp_path, json.dumps(model))])
     captured = capsys.readouterr()
@@ -599,9 +601,9 @@ def simplex_model(halfspaces) -> dict:
 ], ids=["simplex", "zero-row"])
 def test_a_simplex_model_is_proved_compact_and_certifies(capsys, tmp_path, halfspaces):
     path = write_model(tmp_path, json.dumps(simplex_model(halfspaces)))
+    # the load refuses a set it cannot prove compact
     status, report = run_json(capsys, ["validate", "--model", path])
     assert status == 0
-    assert report["results"]["compact"] is True
     status, report = run_json(capsys, ["saddle", "--model", path])
     assert status == 0
     results = report["results"]

@@ -548,7 +548,6 @@ def test_compile_box_vertex_cap():
 
 def test_discretize_density_midpoint_rule():
     jm = discretize_density(lambda z: 2.0, (0.5, 1.5), 4)
-    assert jm.approximate
     assert jm.m == 4
     assert jm.locations[:, 0] == pytest.approx([0.625, 0.875, 1.125, 1.375])
     assert jm.rates == pytest.approx([0.5, 0.5, 0.5, 0.5])

@@ -63,7 +63,6 @@ def test_box_model_loads():
     assert spec.dimension == 1
     assert spec.utility.is_log
     assert len(spec.theta) == 8
-    assert spec.compact
     assert spec.kappa == pytest.approx(0.12 + 0.04 + 0.03 * math.log(2.0), rel=1e-14)
     assert spec.provenance == ()
     assert spec.simulation.n_paths == 100000
@@ -225,23 +224,36 @@ def test_scalar_domains(tmp_path):
 def test_density_models_are_discretized(tmp_path):
     model = minimal_model()
     model["Theta"]["vertices"][0]["jumps"] = {
-        "density": {"form": "constant", "level": 0.5,
-                    "support": [0.5, 1.5], "grid_points": 4},
+        "density": {"level": 0.4, "slope": -0.1, "support": [0.5, 1.5], "grid_points": 4},
     }
     spec = load_model(write_model(tmp_path, model))
     assert spec.provenance == ("density_discretized",)
     jumps = spec.theta.vertices[0].jumps
-    assert jumps.m == 4
-    # midpoint rule: each cell carries level * width mass
-    assert jumps.total_rate == pytest.approx(0.5, rel=1e-14)
-    assert jumps.locations[0, 0] == pytest.approx(0.625)
+    # midpoint rule: each cell carries (level + slope z) * width at its center
+    centers = [0.625, 0.875, 1.125, 1.375]
+    assert jumps.locations[:, 0].tolist() == centers
+    assert jumps.rates == pytest.approx([(0.4 - 0.1 * z) * 0.25 for z in centers],
+                                        rel=1e-15)
+    assert spec.digest == "606e8435417728f4f783fdcbaf774af5ee02e0926da3825e02023aaa49821177"
+
+
+@pytest.mark.parametrize("jumps, provenance", [
+    ([{"atoms": [{"location": [0.5], "rate": 0.2}]},
+      {"density": {"level": 0.5, "support": [0.5, 1.5], "grid_points": 4}}],
+     ("density_discretized",)),
+    ([{"atoms": [{"location": [0.5], "rate": 0.2}]}, {"atoms": []}], ()),
+], ids=["density-beside-atoms", "atoms-only"])
+def test_provenance_flags_a_density_on_any_vertex(tmp_path, jumps, provenance):
+    model = minimal_model()
+    model["Theta"]["vertices"] = [{"b": [0.1], "c": [[0.04]], "jumps": j} for j in jumps]
+    assert load_model(write_model(tmp_path, model)).provenance == provenance
 
 
 # the bundled models, plus one with a density so that branch is reached too
 FUZZ_BASES = [json.loads(path.read_text()) for path in sorted(MODELS.glob("*.json"))]
 FUZZ_BASES.append(json.loads((MODELS / "merton_power.json").read_text()))
 FUZZ_BASES[-1]["Theta"]["vertices"][0]["jumps"] = {"density": {
-    "form": "linear", "level": 0.5, "slope": 0.1, "support": [0.5, 1.5], "grid_points": 4}}
+    "level": 0.5, "slope": 0.1, "support": [0.5, 1.5], "grid_points": 4}}
 
 # integers stay small so grid_points, n_paths and dimension stay cheap
 JSON_VALUES = st.recursive(
@@ -309,8 +321,7 @@ def test_report_roundtrips_through_json():
                     results={"y_hat": [2.0, 0.5], "robust_g": 0.0929,
                              "flags": {"certified": True}},
                     provenance=["density_discretized"], timings={"total_s": 0.12})
-    recovered = Report.from_dict(json.loads(report.to_json()))
-    assert recovered.to_dict() == report.to_dict()
+    assert json.loads(report.to_json()) == report.to_dict()
 
 
 def test_reports_encode_infinities_and_refuse_nan():

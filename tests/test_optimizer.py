@@ -716,6 +716,25 @@ def test_unusable_solve_multipliers_fall_back_to_the_worst_vertex(monkeypatch):
         assert cert.passes(1e-7)
 
 
+def test_min_jump_factor_describes_the_returned_strategy(monkeypatch):
+    # a solve that ends where the robust growth is negative is replaced by
+    # the zero strategy, and the diagnostics describe that strategy
+    import rlp.optimizer
+
+    theta = UncertaintySet((one_asset(0.05, 0.04, [(0.3, [-0.5])]),))
+    feasible, _ = effective_domain(Polyhedron.box([(-1.5, 1.9)]), theta)
+
+    def stray(*args, _minimize=rlp.optimizer.minimize, **kwargs):
+        res = _minimize(*args, **kwargs)
+        res.x = np.array([1.9, 0.0])
+        return res
+
+    monkeypatch.setattr(rlp.optimizer, "minimize", stray)
+    solution = maximize_robust(theta, feasible, LOG)
+    assert solution.y_hat.tolist() == [0.0]
+    assert solution.diagnostics["min_jump_factor"] == 1.0
+
+
 def test_mixture_min_finds_the_interior_mixture():
     theta = UncertaintySet((one_asset(0.10, 0.03), one_asset(-0.05, 0.01)))
     feasible, _ = effective_domain(Polyhedron.box([(-1.0, 1.0)]), theta)
